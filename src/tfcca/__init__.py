@@ -8,14 +8,13 @@ regression, plus simulation generators and a batch CLI.
 
 import os as _os
 
-# Pin BLAS pools before numpy loads anywhere in the package: results must be
-# bitwise reproducible across runs and thread settings. TFCCA_NUM_THREADS is
-# honored as an upper bound for any auxiliary pools; linear algebra stays
-# single-threaded.
-_cap = _os.environ.get("TFCCA_NUM_THREADS", "1")
+# Pin BLAS pools to one thread before numpy loads anywhere in the package,
+# so results are bitwise reproducible across runs. setdefault leaves a value
+# the caller has already set in place, and the pin has no effect if numpy
+# was imported before this package.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
-del _os, _cap, _var
+del _os, _var
 
 from .errors import (  # noqa: E402
     AntipodeError,
@@ -69,6 +68,7 @@ from .shape import (  # noqa: E402
     register,
     shape_distance,
     shape_karcher_mean,
+    shape_tangent_coordinates,
     shape_variate_direction,
     srvf,
     srvf_inverse,

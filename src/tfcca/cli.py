@@ -5,7 +5,8 @@ report with canonical correlations, weights and variate-direction function
 tables), cvr (canonical variate regression with eta cross-validation), and
 simulate (materialize simulation datasets plus a ground-truth sidecar).
 
-Exit codes: 0 success, 2 input validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 input validation failure (including files that
+cannot be read or written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .numerics import (
     DiscreteFunction,
     Grid,
 )
-from .report import dumps_report, load_report, write_report
+from .report import load_report, write_report
 from .shape import curve_from_points, shape_variate_direction
 from .simgen import (
     CurveSimSpec,
@@ -77,9 +78,12 @@ def _read_jsonl(path: str):
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{k}: invalid JSON ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ValidationError(f"{path}:{k}: a record must be a JSON object")
+            records.append(rec)
     if not records:
         raise ValidationError(f"{path}: empty input")
     return records
@@ -88,22 +92,31 @@ def _read_jsonl(path: str):
 def _read_pdf_samples(path: str, grid_size: int, bins: int, floor: float):
     """JSON-lines of {"id":..., "samples":[...]}; one dataset-wide rescale."""
     records = _read_jsonl(path)
-    pooled = []
+    samples = []
     for rec in records:
         if "id" not in rec or "samples" not in rec:
             raise ValidationError(f"{path}: records need 'id' and 'samples'")
-        pooled.extend(rec["samples"])
+        try:
+            x = np.asarray(rec["samples"], dtype=float)
+        except (TypeError, ValueError):
+            x = None
+        if x is None or x.ndim != 1 or x.size < 2:
+            raise ValidationError(
+                f"{path}: 'samples' of {rec['id']!r} must be a list of >= 2 numbers"
+            )
+        samples.append(x)
+    pooled = np.concatenate(samples)
     lo, hi = float(np.min(pooled)), float(np.max(pooled))
     if hi <= lo:
         raise ValidationError(f"{path}: all samples identical")
     grid = Grid(grid_size)
     out = {}
-    for rec in records:
+    for rec, x in zip(records, samples):
         sid = str(rec["id"])
         if sid in out:
             raise ValidationError(f"{path}: duplicate subject id {sid!r}")
         out[sid] = estimate_pdf(
-            rec["samples"], bins=bins, floor=floor, grid=grid, value_range=(lo, hi)
+            x, bins=bins, floor=floor, grid=grid, value_range=(lo, hi)
         )
     return out, {
         "format": "jsonl-samples",
@@ -155,8 +168,17 @@ def _read_response(path: str, ids, log_response: bool):
     if not rows or len(rows[0]) < 2:
         raise ValidationError(f"{path}: need 'id,response' columns")
     table = {}
-    for row in rows[1:]:
-        table[row[0].strip()] = float(row[1])
+    for k, row in enumerate(rows[1:], 2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise ValidationError(f"{path}:{k}: need 'id,response' columns")
+        try:
+            table[row[0].strip()] = float(row[1])
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{k}: non-numeric response {row[1]!r}"
+            ) from None
     missing = [s for s in ids if s not in table]
     if missing:
         raise ValidationError(f"{path}: no response for ids {missing[:5]}")
@@ -179,15 +201,6 @@ def _parse_epsilons(text: str):
     if not eps:
         raise ValidationError("--epsilons must list at least one value")
     return eps
-
-
-def _shape_opts(args):
-    opts = {}
-    if getattr(args, "dp_grid", None):
-        opts["dp_grid"] = args.dp_grid
-    if getattr(args, "seeds", None):
-        opts["seeds"] = args.seeds
-    return opts or None
 
 
 def _direction_entries(result, res_cca, epsilons, directions):
@@ -286,8 +299,6 @@ def _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
                 "direction_weights": "unit-norm canonical weight columns",
                 "grid": getattr(args, "grid", None),
                 "curve_grid": getattr(args, "curve_grid", None),
-                "dp_grid": getattr(args, "dp_grid", None),
-                "seeds": getattr(args, "seeds", None),
             },
             "ingestion": ingest_meta,
         },
@@ -306,7 +317,6 @@ def _run_paired_analysis(command, kind_a, kind_b, path_a, path_b, args):
         mode=args.tangent_mode,
         rank=args.rank,
         explained=args.explained,
-        shape_opts=_shape_opts(args),
     )
     res_cca = cca(result.c1, result.c2, ridge=args.ridge)
     report = _analysis_report(
@@ -367,7 +377,6 @@ def cmd_cvr(args):
         mode=args.tangent_mode,
         rank=args.rank,
         explained=args.explained,
-        shape_opts=_shape_opts(args),
     )
     trace, details = cvr_cross_validate(
         result.c1, result.c2, y, args.d, eta_grid,
@@ -499,7 +508,7 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common_analysis_args(p, curves=False):
+def _add_common_analysis_args(p):
     rank = p.add_mutually_exclusive_group()
     rank.add_argument("--rank", type=int, default=None, help="fixed FPCA rank")
     rank.add_argument(
@@ -527,11 +536,6 @@ def _add_common_analysis_args(p, curves=False):
                    help="histogram bins for raw-sample density estimation")
     p.add_argument("--floor", type=float, default=1e-4,
                    help="histogram floor added to every bin")
-    if curves:
-        p.add_argument("--dp-grid", type=int, default=None,
-                       help="lattice size for DP registration")
-        p.add_argument("--seeds", type=int, default=None,
-                       help="cyclic seed count for the registration search")
     p.add_argument("--out", required=True, help="path of the JSON report")
     p.add_argument("--emit-csv", default=None, metavar="DIR",
                    help="also write per-direction CSV function tables")
@@ -555,13 +559,13 @@ def build_parser():
     p = sub.add_parser("shape-cca", help="CCA between two paired curve groups")
     p.add_argument("--input-a", required=True)
     p.add_argument("--input-b", required=True)
-    _add_common_analysis_args(p, curves=True)
+    _add_common_analysis_args(p)
     p.set_defaults(func=cmd_shape_cca)
 
     p = sub.add_parser("cross-cca", help="CCA between densities and curves")
     p.add_argument("--pdf-input", required=True)
     p.add_argument("--shape-input", required=True)
-    _add_common_analysis_args(p, curves=True)
+    _add_common_analysis_args(p)
     p.set_defaults(func=cmd_cross_cca)
 
     p = sub.add_parser("cvr", help="canonical variate regression with CV over eta")
@@ -585,8 +589,6 @@ def build_parser():
     p.add_argument("--curve-grid", type=int, default=DEFAULT_CURVE_GRID)
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--floor", type=float, default=1e-4)
-    p.add_argument("--dp-grid", type=int, default=None)
-    p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cvr)
 
@@ -618,6 +620,10 @@ def main(argv=None) -> int:
         return 3
     except TfccaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # unreadable inputs and unwritable outputs are input problems too
+        print(f"error: validation: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -197,6 +197,8 @@ def cvr_cross_validate(
     eta_grid = tuple(float(e) for e in eta_grid)
     if not (0.0 < split < 1.0):
         raise ValidationError("split must be a fraction in (0, 1)")
+    if repeats < 1:
+        raise ValidationError("repeats must be >= 1")
     n_train = int(round(split * n))
     if n_train < 3 or n - n_train < 1:
         raise ValidationError(f"split {split} leaves too few rows (n={n})")

@@ -142,25 +142,18 @@ def estimate_pdf(
 
 def pdf_tangent_coordinates(
     pdfs: list,
-    mean_override: Srt | None = None,
     karcher_kwargs: dict | None = None,
 ) -> tuple[Srt, list]:
     """Map densities into the tangent space at their Karcher mean.
 
     Applies the square-root transform to every density, computes the Karcher
-    mean of the resulting sphere points (unless a mean is supplied, e.g. a
-    pooled one), and returns the inverse-exponential images at that mean.
+    mean of the resulting sphere points, and returns the inverse-exponential
+    images at that mean.
     """
-    if len(pdfs) < 2 and mean_override is None:
-        raise ValidationError("need >= 2 densities (or an explicit mean)")
+    if len(pdfs) < 2:
+        raise ValidationError("need >= 2 densities")
     psis = [srt(f) for f in pdfs]
-    if mean_override is not None:
-        mean = mean_override
-    else:
-        result = karcher_mean(
-            [s.p for s in psis], **(karcher_kwargs or {})
-        )
-        mean = Srt(result.mean)
+    mean = Srt(karcher_mean([s.p for s in psis], **(karcher_kwargs or {})).mean)
     tangents = [log_map(mean.p, s.p) for s in psis]
     return mean, tangents
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import Pdf, pdf_tangent_coordinates
 from .errors import RankError, ValidationError
 from .numerics import DiscreteFunction
+from .shape import Curve, shape_tangent_coordinates
 from .sphere import SpherePoint, TangentVector, parallel_transport, tangent_at
 
 PDF_EXPLAINED_DEFAULT = 0.95
@@ -213,30 +215,7 @@ class TangentModeResult:
     tangents_2: list
 
 
-def _pdf_mean_and_tangents(pdfs, mean_override=None):
-    from .density import pdf_tangent_coordinates
-
-    return pdf_tangent_coordinates(pdfs, mean_override=mean_override)
-
-
-def _shape_mean_and_tangents(curves, mean_override=None, shape_opts=None):
-    from .shape import project_Pi, shape_karcher_mean, srvf
-
-    opts = dict(shape_opts or {})
-    karcher = opts.pop("karcher", {})
-    qs = [srvf(c) for c in curves]
-    if mean_override is not None:
-        mean = mean_override
-    else:
-        mean = shape_karcher_mean(qs, **{**opts, **karcher})
-    tangents = project_Pi(qs, mean, **opts)
-    return mean, tangents
-
-
 def _kind_of(obj) -> str:
-    from .density import Pdf
-    from .shape import Curve
-
     if isinstance(obj, Pdf):
         return "pdf"
     if isinstance(obj, Curve):
@@ -244,10 +223,10 @@ def _kind_of(obj) -> str:
     raise ValidationError(f"expected Pdf or Curve, got {type(obj).__name__}")
 
 
-def _group_mean_tangents(group, kind, mean_override=None, shape_opts=None):
+def _group_mean_tangents(group, kind):
     if kind == "pdf":
-        return _pdf_mean_and_tangents(group, mean_override)
-    return _shape_mean_and_tangents(group, mean_override, shape_opts)
+        return pdf_tangent_coordinates(group)
+    return shape_tangent_coordinates(group)
 
 
 def _default_explained(kind: str) -> float:
@@ -260,9 +239,13 @@ def tangent_mode_pipeline(
     mode: str = "separate",
     rank: int | None = None,
     explained: float | None = None,
-    shape_opts: dict | None = None,
 ) -> TangentModeResult:
     """Turn two paired groups of densities or curves into coefficient matrices.
+
+    Each group enters its tangent space through pdf_tangent_coordinates or
+    shape_tangent_coordinates. rank and explained pick the FPCA truncation
+    (see fit_fpca); with neither, densities keep 95% and curves 80% of the
+    variance.
 
     mode:
       separate  - per-group Karcher means and eigenbases;
@@ -290,8 +273,8 @@ def tangent_mode_pipeline(
         return fit_fpca(tangents, rank=rank, explained=explained)
 
     if mode == "separate":
-        mean_1, tan_1 = _group_mean_tangents(group_a, kind_a, shape_opts=shape_opts)
-        mean_2, tan_2 = _group_mean_tangents(group_b, kind_b, shape_opts=shape_opts)
+        mean_1, tan_1 = _group_mean_tangents(group_a, kind_a)
+        mean_2, tan_2 = _group_mean_tangents(group_b, kind_b)
         basis_1, basis_2 = _fit(tan_1, kind_a), _fit(tan_2, kind_b)
         c1 = coefficients(basis_1, tan_1, f"{kind_a}/separate/group1")
         c2 = coefficients(basis_2, tan_2, f"{kind_b}/separate/group2")
@@ -302,7 +285,7 @@ def tangent_mode_pipeline(
 
     if mode == "pooled":
         pooled_mean, pooled_tan = _group_mean_tangents(
-            list(group_a) + list(group_b), kind_a, shape_opts=shape_opts
+            list(group_a) + list(group_b), kind_a
         )
         n = len(group_a)
         tan_1, tan_2 = pooled_tan[:n], pooled_tan[n:]
@@ -314,8 +297,8 @@ def tangent_mode_pipeline(
         )
 
     # transport
-    mean_1, tan_1 = _group_mean_tangents(group_a, kind_a, shape_opts=shape_opts)
-    mean_2, tan_2 = _group_mean_tangents(group_b, kind_a, shape_opts=shape_opts)
+    mean_1, tan_1 = _group_mean_tangents(group_a, kind_a)
+    mean_2, tan_2 = _group_mean_tangents(group_b, kind_a)
     p1 = mean_1.p if kind_a == "pdf" else mean_1.q
     p2 = mean_2.p if kind_a == "pdf" else mean_2.q
     moved = [parallel_transport(t, p1, p2) for t in tan_1]

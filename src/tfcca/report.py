@@ -114,10 +114,6 @@ def validate_report(report: dict):
     return report
 
 
-def dumps_report(report: dict) -> str:
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
-
-
 def write_report(report: dict, path: str):
     """Validate and write atomically (temp file + rename)."""
     payload = jsonable(report)

@@ -35,6 +35,8 @@ CLOSURE_TOL = 1e-4
 REGISTRATION_RTOL = 1e-3
 # cap on the rigid-search/DP alternation rounds
 REGISTRATION_ROUNDS = 8
+# residual cyclic offsets the DP tries on each side of a rigid candidate
+DP_WINDOW = 2
 # coprime lattice steps with 1 <= p,s <= 4; non-coprime slopes decompose
 # into repeated coprime steps of identical total cost
 SLOPES = ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1),
@@ -99,7 +101,7 @@ class Srvf:
 class Registration:
     """Optimal rotation and reparameterization of one SRVF onto another.
 
-    warp is the unwrapped circle warp (seed offset included), strictly
+    warp is the unwrapped circle warp (cyclic offset included), strictly
     increasing with winding number one. round_costs records the DP cost at
     the end of each alternation round actually run, so its length is the
     number of rounds used.
@@ -109,7 +111,6 @@ class Registration:
     warp: DiscreteFunction
     cost: float
     round_costs: tuple = field(default=())
-    seed_offset: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +218,10 @@ def srvf_inverse(q, closure_tol: float = CLOSURE_TOL) -> Curve:
 
 def curve_from_points(points, grid: Grid | None = None) -> Curve:
     """Resample a polygon (k x 2 vertices) by arc length onto the grid."""
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("curve points must be numbers") from None
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValidationError("need a (k, 2) array with k >= 3 vertices")
     if not np.all(np.isfinite(pts)):
@@ -258,31 +262,8 @@ def optimal_rotation(q1: Srvf, q2: Srvf) -> np.ndarray:
     return U @ D @ Vt
 
 
-def _batch_rotations(q1_vals: np.ndarray, q2_stack: np.ndarray) -> np.ndarray:
-    """Closed-form planar Procrustes rotations for a batch of SRVFs."""
-    w = trapezoid_weights(q1_vals.shape[0])
-    A = np.einsum("t,tx,bty->bxy", w, q1_vals, q2_stack)
-    theta = np.arctan2(A[:, 1, 0] - A[:, 0, 1], A[:, 0, 0] + A[:, 1, 1])
-    c, s = np.cos(theta), np.sin(theta)
-    O = np.empty((q2_stack.shape[0], 2, 2))
-    O[:, 0, 0] = c
-    O[:, 0, 1] = -s
-    O[:, 1, 0] = s
-    O[:, 1, 1] = c
-    return O
-
-
 # ---------------------------------------------------------------------------
 # dynamic programming alignment
-
-def default_seed_count(n_points: int) -> int:
-    return max(1, (n_points - 1) // 10)
-
-
-def _seed_offsets(m: int, seeds: int) -> np.ndarray:
-    offs = np.floor(np.linspace(0.0, m, seeds, endpoint=False)).astype(int)
-    return np.unique(offs)
-
 
 def _rigid_scores(q1_vals: np.ndarray, q2_stack: np.ndarray):
     """Joint seed/rotation search: for every cyclic grid offset of every q2,
@@ -377,7 +358,7 @@ def _dp_align_batch(
 
     q1_vals: (n, 2); q2_stack: (B, n, 2); offsets: (S,) integer grid offsets
     shared by the whole batch. Returns (gammas (B, n) including the seed
-    offset, costs (B,), chosen offsets (B,)).
+    offset, costs (B,)).
     """
     B, n, _ = q2_stack.shape
     m = n - 1
@@ -388,7 +369,6 @@ def _dp_align_batch(
 
     gammas = np.empty((B, n))
     costs = np.empty(B)
-    chosen = np.empty(B, dtype=int)
     nq1 = (q1_vals * q1_vals).sum(axis=1)  # (n,)
     arange_n = np.arange(n)
     col_idx = [(arange_n + off) % m for off in offsets]
@@ -446,8 +426,7 @@ def _dp_align_batch(
             off = int(offsets[sb])
             gammas[b0 + b] = gam + off * h
             costs[b0 + b] = float(end[b, sb])
-            chosen[b0 + b] = off
-    return gammas, costs, chosen
+    return gammas, costs
 
 
 _SMOOTH_WIDTHS = (3, 5, 9, 13)
@@ -498,37 +477,24 @@ def _compose_warps(outer: np.ndarray, inner: np.ndarray, grid: Grid) -> np.ndarr
     return vals + whole
 
 
-def optimal_warp(
-    q1: Srvf,
-    q2: Srvf,
-    grid_size: int | None = None,
-    seeds: int | None = None,
-):
-    """Minimize |q1 - (q2 o gamma) sqrt(gamma')|^2 over circle warps.
+def optimal_warp(q1: Srvf, q2: Srvf):
+    """Minimize |q1 - (q2 o gamma) sqrt(gamma')|^2 over circle warps by DP
+    alone: no rotation search, no smoothing.
 
-    Dynamic programming over monotone lattice paths on a grid_size lattice,
-    repeated exhaustively for `seeds` evenly spaced cyclic start offsets of
-    q2 (default: one tenth of the grid). Returns (warp including the seed
-    offset, cost).
+    Dynamic programming over monotone lattice paths on the SRVFs' own grid,
+    repeated exhaustively for evenly spaced cyclic start offsets of q2 (one
+    per ten grid cells). This is the plain reference that register improves
+    on. Returns (warp including the start offset, cost).
     """
     v1, v2 = q1.q.f.values, q2.q.f.values
     if v1.shape != v2.shape:
         raise ValidationError("SRVFs must share a grid")
     grid = q1.q.f.grid
-    n = grid.n_points
-    work = grid
-    if grid_size is not None and grid_size != n:
-        work = Grid(grid_size)
-        t = work.points
-        v1 = np.stack([np.interp(t, grid.points, v1[:, j]) for j in (0, 1)], axis=1)
-        v2 = np.stack([np.interp(t, grid.points, v2[:, j]) for j in (0, 1)], axis=1)
-    m = work.n_points - 1
-    offs = _seed_offsets(m, seeds if seeds is not None else default_seed_count(work.n_points))
-    gam, cost, _ = _dp_align_batch(v1, v2[None], offs)
-    gamma = gam[0]
-    if work is not grid:
-        gamma = np.interp(grid.points, work.points, gamma)
-    return DiscreteFunction(grid, gamma), float(cost[0])
+    m = grid.n_points - 1
+    starts = np.linspace(0.0, m, max(1, m // 10), endpoint=False)
+    offs = np.unique(np.floor(starts).astype(int))
+    gam, cost = _dp_align_batch(v1, v2[None], offs)
+    return DiscreteFunction(grid, gam[0]), float(cost[0])
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +541,14 @@ def register_batch(
     q1: Srvf,
     qs: list,
     rounds: int = REGISTRATION_ROUNDS,
-    seeds: int | None = None,
-    dp_window: int = 2,
     rigid_candidates: int = 3,
-    dp_grid: int | None = None,
-    closure_tol: float = CLOSURE_TOL,
 ):
     """Register every SRVF in qs onto q1; returns [(Registration, Srvf)].
 
-    Each round starts with an exhaustive rigid search (every cyclic seed
-    offset scored with its own Procrustes rotation; applied exactly as an
-    integer roll plus rotation), followed by dynamic programming over a
-    window of +-dp_window residual offsets. In the first round the top
+    Each round starts with an exhaustive rigid search (every cyclic offset
+    scored with its own Procrustes rotation; applied exactly as an integer
+    roll plus rotation), followed by dynamic programming over a window of
+    +-DP_WINDOW residual offsets. In the first round the top
     rigid_candidates score basins are all pushed through the DP and the
     cheapest wins, since near-symmetric shapes can make the rigid score
     prefer the wrong basin. The composed transforms are applied to the
@@ -600,44 +562,19 @@ def register_batch(
     """
     grid = q1.q.f.grid
     n = grid.n_points
-    m = n - 1
     h = grid.spacing
     t = grid.points
     v1 = q1.q.f.values
     stack = np.stack([q.q.f.values for q in qs])
     B = stack.shape[0]
-    brange = np.arange(B)
-
-    dpgrid = grid if dp_grid is None or dp_grid == n else Grid(dp_grid)
-    v1_dp = v1
-
-    def to_dp(vals):
-        return np.stack(
-            [
-                np.stack(
-                    [np.interp(dpgrid.points, t, vb[:, j]) for j in (0, 1)], axis=1
-                )
-                for vb in vals
-            ]
-        )
-
-    if dpgrid is not grid:
-        v1_dp = np.stack(
-            [np.interp(dpgrid.points, t, v1[:, j]) for j in (0, 1)], axis=1
-        )
-    window = np.arange(-dp_window, dp_window + 1)
-    if seeds is not None and seeds < m:
-        allowed = _seed_offsets(m, seeds)
-    else:
-        allowed = np.arange(m)
+    window = np.arange(-DP_WINDOW, DP_WINDOW + 1)
 
     O_tot = np.broadcast_to(np.eye(2), (B, 2, 2)).copy()
     gamma_tot = np.broadcast_to(t, (B, n)).copy()
     cur = stack.copy()
     round_costs = np.empty((rounds, B))
     used = np.zeros(B, dtype=int)
-    first_offset = np.zeros(B, dtype=int)
-    active = brange
+    active = np.arange(B)
     for rnd in range(rounds):
         if active.size == 0:
             break
@@ -646,26 +583,19 @@ def register_batch(
         scores, angles = _rigid_scores(v1, cur[active])
         k = max(1, rigid_candidates) if rnd == 0 else 1
         if k > 1:
-            cands = allowed[_local_maxima_offsets(scores[:, allowed], k)]
+            cands = _local_maxima_offsets(scores, k)
         else:
-            cands = allowed[scores[:, allowed].argmax(axis=1)][:, None]
+            cands = scores.argmax(axis=1)[:, None]
 
         # push every rigid candidate through the DP; cheapest final cost wins
         flat_pick = cands.reshape(-1)
         flat_theta = angles[np.repeat(arange_a, k), flat_pick]
         flat_cur = np.repeat(cur[active], k, axis=0)
         flat_cur, flat_O = _apply_rigid(flat_cur, flat_pick, flat_theta)
-        flat_dp = flat_cur if dpgrid is grid else to_dp(flat_cur)
-        gam, cost, _ = _dp_align_batch(v1_dp, flat_dp, window)
-        if dpgrid is not grid:
-            gam = np.stack(
-                [np.interp(t, dpgrid.points, gam[i]) for i in range(A * k)]
-            )
+        gam, cost = _dp_align_batch(v1, flat_cur, window)
         best = cost.reshape(A, k).argmin(axis=1)
         sel = arange_a * k + best
         pick = flat_pick[sel]
-        if rnd == 0:
-            first_offset = pick.copy()
         O_tot[active] = np.einsum("bxy,byz->bxz", flat_O[sel], O_tot[active])
         gam = gam[sel]
         # a squared norm; float32 rounding in the DP can leave it just below
@@ -708,7 +638,7 @@ def register_batch(
                 best_gamma, best_cost, best_vals = cand, cost_c, vals_c
 
         point = SpherePoint(DiscreteFunction(grid, best_vals, periodic=True))
-        star = project_to_preshape(point, closure_tol)
+        star = project_to_preshape(point)
         diff = v1 - star.q.f.values
         final_cost = float((w * (diff * diff).sum(axis=1)).sum())
         reg = Registration(
@@ -716,45 +646,34 @@ def register_batch(
             warp=DiscreteFunction(grid, best_gamma),
             cost=final_cost,
             round_costs=tuple(round_costs[: used[b], b]),
-            seed_offset=float(first_offset[b] * h),
         )
         out.append((reg, star))
     return out
 
 
-def register(q1: Srvf, q2: Srvf, rounds: int = REGISTRATION_ROUNDS,
-             seeds: int | None = None, dp_window: int = 2,
-             rigid_candidates: int = 3, dp_grid: int | None = None):
+def register(q1: Srvf, q2: Srvf, rounds: int = REGISTRATION_ROUNDS):
     """Register q2 onto q1; returns (Registration, registered q2).
 
-    Alternates rigid search and DP until the round cost stops decreasing
-    (relative tolerance REGISTRATION_RTOL), for at most `rounds` rounds;
-    see register_batch.
+    Alternates rigid search (three first-round candidates) and DP until the
+    round cost stops decreasing (relative tolerance REGISTRATION_RTOL), for
+    at most `rounds` rounds; see register_batch.
     """
-    return register_batch(
-        q1, [q2], rounds=rounds, seeds=seeds, dp_window=dp_window,
-        rigid_candidates=rigid_candidates, dp_grid=dp_grid,
-    )[0]
+    return register_batch(q1, [q2], rounds=rounds)[0]
 
 
-def _aligned_distance(q1: Srvf, q2: Srvf, **opts) -> float:
-    _, star = register(q1, q2, **opts)
+def _aligned_distance(q1: Srvf, q2: Srvf) -> float:
+    _, star = register(q1, q2)
     ip = np.clip(inner_product(q1.q.f, star.q.f), -1.0, 1.0)
     return float(np.arccos(ip))
 
 
-def shape_distance(q1: Srvf, q2: Srvf, rounds: int = REGISTRATION_ROUNDS,
-                   seeds: int | None = None, dp_window: int = 2,
-                   rigid_candidates: int = 3,
-                   dp_grid: int | None = None) -> float:
+def shape_distance(q1: Srvf, q2: Srvf) -> float:
     """Geodesic shape distance, symmetrized over the two DP directions.
 
-    Each direction registers until the round cost stops decreasing, for at
-    most `rounds` rounds (see register_batch).
+    Each direction registers until the round cost stops decreasing (see
+    register).
     """
-    opts = dict(rounds=rounds, seeds=seeds, dp_window=dp_window,
-                rigid_candidates=rigid_candidates, dp_grid=dp_grid)
-    return min(_aligned_distance(q1, q2, **opts), _aligned_distance(q2, q1, **opts))
+    return min(_aligned_distance(q1, q2), _aligned_distance(q2, q1))
 
 
 def preshape_normal_basis(mean: Srvf):
@@ -783,23 +702,18 @@ def _remove_normal(vals: np.ndarray, mean: Srvf, phis) -> np.ndarray:
     return f.values
 
 
-def project_Pi(q, mean: Srvf, rounds: int = REGISTRATION_ROUNDS,
-               seeds: int | None = None, dp_window: int = 2,
-               rigid_candidates: int = 2, dp_grid: int | None = None):
+def project_Pi(q, mean: Srvf):
     """Project SRVF(s) onto the pre-shape tangent space at the mean.
 
     Three steps: register to the mean, inverse-exponential map at the mean,
     then removal of the two closure-constraint components. Accepts a single
-    Srvf or a list; returns TangentVector(s) accordingly. Registration runs
-    per curve until its round cost stops decreasing, for at most `rounds`
-    rounds (see register_batch).
+    Srvf or a list; returns TangentVector(s) accordingly. Registration tries
+    two first-round rigid candidates and runs per curve until its round cost
+    stops decreasing (see register_batch).
     """
     single = isinstance(q, Srvf)
     qs = [q] if single else list(q)
-    regs = register_batch(
-        mean, qs, rounds=rounds, seeds=seeds, dp_window=dp_window,
-        rigid_candidates=rigid_candidates, dp_grid=dp_grid,
-    )
+    regs = register_batch(mean, qs, rigid_candidates=2)
     phis = preshape_normal_basis(mean)
     out = []
     for _, star in regs:
@@ -814,19 +728,14 @@ def shape_karcher_mean(
     tol: float = 1e-4,
     max_iter: int = 30,
     step: float = 1.0,
-    rounds: int = 1,
-    seeds: int | None = None,
-    dp_window: int = 2,
-    rigid_candidates: int = 1,
-    dp_grid: int | None = None,
     stagnation_rtol: float = 2e-3,
     return_info: bool = False,
 ):
     """Karcher mean shape: registration + tangent averaging fixed point.
 
-    Each iteration registers every curve to the current mean, averages the
-    constraint-projected log maps, and steps along the exponential map,
-    re-projecting to the pre-shape set. The step is halved when an update
+    Each iteration registers every curve to the current mean (one round, one
+    rigid candidate), averages the constraint-projected log maps, and steps
+    along the exponential map, re-projecting to the pre-shape set. The step is halved when an update
     would increase the registered variance, so the variance trace is
     non-increasing by construction. Stops on a small mean tangent, an
     iteration cap, or when the variance improves by less than
@@ -834,8 +743,6 @@ def shape_karcher_mean(
     """
     if not qs:
         raise ValidationError("shape_karcher_mean needs at least one SRVF")
-    reg_opts = dict(rounds=rounds, seeds=seeds, dp_window=dp_window,
-                    rigid_candidates=rigid_candidates, dp_grid=dp_grid)
     mean = qs[0]
     if len(qs) == 1:
         if return_info:
@@ -844,7 +751,7 @@ def shape_karcher_mean(
         return mean
 
     def registered_variance(candidate):
-        regs = register_batch(candidate, qs, **reg_opts)
+        regs = register_batch(candidate, qs, rounds=1, rigid_candidates=1)
         dists = [
             np.arccos(np.clip(inner_product(candidate.q.f, star.q.f), -1, 1))
             for _, star in regs
@@ -895,6 +802,18 @@ def shape_karcher_mean(
             "converged": converged,
         }
     return mean
+
+
+def shape_tangent_coordinates(curves: list) -> tuple[Srvf, list]:
+    """Map closed curves into the pre-shape tangent space at their Karcher
+    mean: SRVF of every curve, shape_karcher_mean, then project_Pi.
+
+    The shape counterpart of density.pdf_tangent_coordinates; returns
+    (mean, tangents).
+    """
+    qs = [srvf(c) for c in curves]
+    mean = shape_karcher_mean(qs)
+    return mean, project_Pi(qs, mean)
 
 
 def shape_variate_direction(

@@ -20,7 +20,7 @@ from .density import Pdf, pdf_tangent_coordinates, srt_inverse
 from .errors import ValidationError
 from .fpca import FpcBasis, coefficients, fit_fpca
 from .numerics import DiscreteFunction, Grid
-from .shape import Curve, project_Pi, shape_karcher_mean, srvf
+from .shape import Curve, shape_tangent_coordinates
 from .sphere import TangentVector, exp_map, parallel_transport
 
 PDF_GROUPS = (1, 2, 3)
@@ -292,7 +292,6 @@ def recovery_protocol_shape(
     n: int = 100,
     grid: Grid | None = None,
     r: int = 3,
-    shape_opts: dict | None = None,
 ) -> ShapeRecovery:
     """Ground-truth recovery study for shapes.
 
@@ -306,14 +305,8 @@ def recovery_protocol_shape(
     curves2, locs2 = gen_curve_group(spec, 2)
     rho_truth = float(np.corrcoef(locs1, locs2)[0, 1])
 
-    opts = dict(shape_opts or {})
-    karcher = opts.pop("karcher", {})
-    qs1 = [srvf(c) for c in curves1]
-    qs2 = [srvf(c) for c in curves2]
-    mean1 = shape_karcher_mean(qs1, **{**opts, **karcher})
-    mean2 = shape_karcher_mean(qs2, **{**opts, **karcher})
-    tan1 = project_Pi(qs1, mean1, **opts)
-    tan2 = project_Pi(qs2, mean2, **opts)
+    mean1, tan1 = shape_tangent_coordinates(curves1)
+    mean2, tan2 = shape_tangent_coordinates(curves2)
 
     b1, b2 = fit_fpca(tan1, rank=r), fit_fpca(tan2, rank=r)
     rho_sep = cca(coefficients(b1, tan1), coefficients(b2, tan2)).correlations

@@ -251,3 +251,58 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _response_text(rows):
+    return "id,months\n" + "\n".join(rows) + "\n"
+
+
+GOOD_RESPONSE = [f"s{i:04d},{10 + i}" for i in range(14)]
+
+# (case, files to write, argv); "{data}" is the simulated pdf dataset and
+# "{tmp}" the test's scratch directory
+MALFORMED = [
+    ("missing input file", {},
+     ["pdf-cca", "--input-a", "{tmp}/absent.csv", "--input-b", "{tmp}/absent.csv",
+      "--out", "{tmp}/r.json"]),
+    ("non-numeric response", {"resp.csv": GOOD_RESPONSE[:-1] + ["s0013,soon"]},
+     ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
+      "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
+      "--out", "{tmp}/r.json"]),
+    ("response row with only an id", {"resp.csv": GOOD_RESPONSE[:-1] + ["s0013"]},
+     ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
+      "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
+      "--out", "{tmp}/r.json"]),
+    ("samples not a list", {"s.jsonl": ['{"id": "a", "samples": 5}']},
+     ["pdf-cca", "--input-a", "{tmp}/s.jsonl", "--input-b", "{tmp}/s.jsonl",
+      "--out", "{tmp}/r.json"]),
+    ("record not an object", {"s.jsonl": ["5"]},
+     ["pdf-cca", "--input-a", "{tmp}/s.jsonl", "--input-b", "{tmp}/s.jsonl",
+      "--out", "{tmp}/r.json"]),
+    ("non-numeric curve point",
+     {"c.jsonl": ['{"id": "a", "points": [[0, 0], [1, "x"], [0, 1]]}']},
+     ["shape-cca", "--input-a", "{tmp}/c.jsonl", "--input-b", "{tmp}/c.jsonl",
+      "--out", "{tmp}/r.json"]),
+    ("zero cvr repeats", {"resp.csv": GOOD_RESPONSE},
+     ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
+      "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
+      "--repeats", "0", "--out", "{tmp}/r.json"]),
+    # a directory cannot be made under a regular file, even by root
+    ("unwritable output", {"file": []},
+     ["pdf-cca", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
+      "--rank", "2", "--grid", "300", "--out", "{tmp}/file/r.json"]),
+]
+
+
+@pytest.mark.parametrize("case,files,argv", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_input_exits_2_with_reason(case, files, argv, pdf_dataset,
+                                             tmp_path, capsys):
+    for name, lines in files.items():
+        text = _response_text(lines) if name.endswith(".csv") else "\n".join(lines)
+        (tmp_path / name).write_text(text)
+    argv = [a.format(data=pdf_dataset, tmp=tmp_path) for a in argv]
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2, case
+    assert err.startswith("error: validation: "), err
+    assert err.count("\n") == 1, err

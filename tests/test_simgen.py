@@ -6,10 +6,13 @@ from tfcca import (
     Grid,
     PdfSimSpec,
     ValidationError,
+    cca,
     cca_oracle,
     gen_curve_group,
     gen_pdf_group,
     recovery_protocol_pdf,
+    recovery_protocol_shape,
+    tangent_mode_pipeline,
 )
 from tfcca.numerics import trapezoid_weights
 from tfcca.simgen import REGIME_CORRELATION
@@ -125,3 +128,18 @@ class TestPdfRecovery:
         a = recovery_protocol_pdf(2, "separate", rng_seed=10, groups=(2, 3))
         b = recovery_protocol_pdf(2, "separate", rng_seed=10, groups=(2, 3))
         assert np.array_equal(a.rho_hat, b.rho_hat)
+
+
+class TestShapeRecovery:
+    def test_separate_estimate_is_the_pipeline_estimate(self):
+        # the protocol and tangent_mode_pipeline share one shape tangent step,
+        # so the protocol's separate estimate is the pipeline's exactly
+        grid = Grid(100)
+        rec = recovery_protocol_shape("high", rng_seed=4, n=8, grid=grid)
+        spec = CurveSimSpec("high", 8, grid, 4)
+        curves1, _ = gen_curve_group(spec, 1)
+        curves2, _ = gen_curve_group(spec, 2)
+        res = tangent_mode_pipeline(curves1, curves2, mode="separate", rank=3)
+        np.testing.assert_array_equal(
+            rec.rho_separate, cca(res.c1, res.c2).correlations
+        )
