@@ -9,11 +9,11 @@ regression, plus simulation generators and a batch CLI.
 import os as _os
 
 # Pin BLAS pools to one thread before numpy loads anywhere in the package,
-# so results are bitwise reproducible across runs. setdefault leaves a value
-# the caller has already set in place, and the pin has no effect if numpy
+# so results are bitwise reproducible whatever thread counts the caller
+# exports. The pin overrides a caller's value, and it has no effect if numpy
 # was imported before this package.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    _os.environ.setdefault(_var, "1")
+    _os.environ[_var] = "1"
 del _os, _var
 
 from .errors import (  # noqa: E402

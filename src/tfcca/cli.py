@@ -53,6 +53,11 @@ def _read_pdf_csv(path: str, grid_size: int):
     if len(rows) < 4 or len(rows[0]) < 2:
         raise ValidationError(f"{path}: need a header row and >= 3 data rows")
     ids = [c.strip() for c in rows[0][1:]]
+    for k, row in enumerate(rows[1:], 2):
+        if len(row) != len(rows[0]):
+            raise ValidationError(
+                f"{path}:{k}: {len(row)} cells, the header has {len(rows[0])}"
+            )
     try:
         data = np.array([[float(x) for x in row] for row in rows[1:]])
     except ValueError as exc:

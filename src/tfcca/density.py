@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import DEFAULT_PDF_GRID, DiscreteFunction, Grid, trapezoid_weights
-from .sphere import SpherePoint, TangentVector, exp_map, karcher_mean, log_map
+from .sphere import SpherePoint, TangentVector, _log_rows, exp_map, karcher_mean
 
 # Integral drift up to this is renormalized with a warning; beyond is an error.
 MAX_INTEGRAL_DRIFT = 1e-3
@@ -148,14 +148,16 @@ def pdf_tangent_coordinates(
 
     Applies the square-root transform to every density, computes the Karcher
     mean of the resulting sphere points, and returns the inverse-exponential
-    images at that mean.
+    images at that mean, all taken in one batched log map.
     """
     if len(pdfs) < 2:
         raise ValidationError("need >= 2 densities")
-    psis = [srt(f) for f in pdfs]
-    mean = Srt(karcher_mean([s.p for s in psis], **(karcher_kwargs or {})).mean)
-    tangents = [log_map(mean.p, s.p) for s in psis]
-    return mean, tangents
+    points = [srt(f).p for f in pdfs]
+    mean = Srt(karcher_mean(points, **(karcher_kwargs or {})).mean)
+    f = mean.p.f
+    X = np.stack([p.f.values for p in points])
+    rows = _log_rows(f.values, X, trapezoid_weights(f.grid.n_points))
+    return mean, [TangentVector(mean.p, f.with_values(v)) for v in rows]
 
 
 def pdf_variate_direction(mean: Srt, basis, weights, epsilons) -> list:
@@ -164,15 +166,7 @@ def pdf_variate_direction(mean: Srt, basis, weights, epsilons) -> list:
     The direction is v = sum_i e_i w_i; for each step size eps the point
     exp_mean(eps * v) is squared back into a density.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (basis.rank,):
-        raise ValidationError(
-            f"weights length {weights.shape} != basis rank {basis.rank}"
-        )
-    vals = sum(
-        w * e.v.values for w, e in zip(weights, basis.eigenfunctions)
-    )
-    direction = TangentVector(mean.p, mean.p.f.with_values(vals))
+    direction = basis.direction(weights)
     L = direction.length
     out = []
     for eps in epsilons:

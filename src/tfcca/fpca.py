@@ -1,9 +1,9 @@
 """Tangent-space functional PCA and the three tangent-space layouts.
 
-Tangent vectors are flattened to sample vectors (planar functions stacked
-x-then-y, circle-domain functions keeping one copy of the identified
-endpoint) and decomposed by a plain SVD of the sample covariance, solved
-through the n x n Gram problem when the grid is finer than the sample count.
+Tangent vectors are stacked into a sample matrix X (planar functions listed
+x then y, circle-domain functions keeping one copy of the identified
+endpoint) with matching trapezoidal weights w, and decomposed by one thin
+SVD of X sqrt(w), whichever of the sample count and the grid size is larger.
 Eigenfunctions are stored with unit L2 norm, so coefficient extraction and
 reconstruction use the same quadrature convention as the geometry modules.
 """
@@ -16,9 +16,9 @@ import numpy as np
 
 from .density import Pdf, pdf_tangent_coordinates
 from .errors import RankError, ValidationError
-from .numerics import DiscreteFunction
+from .numerics import trapezoid_weights
 from .shape import Curve, shape_tangent_coordinates
-from .sphere import SpherePoint, TangentVector, parallel_transport, tangent_at
+from .sphere import SpherePoint, TangentVector, _transport_rows, tangent_at
 
 PDF_EXPLAINED_DEFAULT = 0.95
 SHAPE_EXPLAINED_DEFAULT = 0.80
@@ -70,28 +70,6 @@ class CoeffMatrix:
         return self.rows.shape[1]
 
 
-def _distinct_count(f: DiscreteFunction) -> int:
-    return f.grid.n_points - 1 if f.periodic else f.grid.n_points
-
-
-def _flatten(f: DiscreteFunction) -> np.ndarray:
-    """Sample vector: drop the duplicated circle endpoint, stack x then y."""
-    m = _distinct_count(f)
-    v = f.values[:m]
-    return v.T.reshape(-1) if f.is_planar else v.copy()
-
-
-def _unflatten(vec: np.ndarray, proto: DiscreteFunction) -> DiscreteFunction:
-    m = _distinct_count(proto)
-    if proto.is_planar:
-        vals = vec.reshape(2, m).T
-    else:
-        vals = vec
-    if proto.periodic:
-        vals = np.concatenate([vals, vals[:1]], axis=0)
-    return proto.with_values(vals)
-
-
 def _check_common_base(tangents) -> SpherePoint:
     base = tangents[0].base
     for t in tangents[1:]:
@@ -104,16 +82,23 @@ def _check_common_base(tangents) -> SpherePoint:
     return base
 
 
-def _quadrature_vector(proto: DiscreteFunction) -> np.ndarray:
-    """Integration weights matching the flattened sample layout."""
-    m = _distinct_count(proto)
-    h = proto.grid.spacing
-    if proto.periodic:
-        w = np.full(m, h)
-    else:
-        w = np.full(m, h)
-        w[0] = w[-1] = h / 2
-    return np.tile(w, 2) if proto.is_planar else w
+def _samples(functions) -> tuple[np.ndarray, np.ndarray]:
+    """Sample matrix X, one row per function, and quadrature weights w such
+    that (X * w) @ Y.T holds the L2 inner products.
+
+    A circle's identified endpoint is kept once and carries both end
+    weights; a planar function lists its x samples, then its y samples.
+    """
+    f0 = functions[0]
+    X = np.stack([f.values for f in functions])
+    w = trapezoid_weights(f0.grid.n_points)
+    if f0.periodic:
+        X = X[:, :-1]
+        w = np.append(w[0] + w[-1], w[1:-1])
+    if f0.is_planar:
+        X = X.transpose(0, 2, 1).reshape(len(X), -1)
+        w = np.tile(w, 2)
+    return X, w
 
 
 def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
@@ -121,11 +106,11 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
 
     Exactly one truncation rule applies: a fixed rank, or the smallest rank
     whose eigenvalues explain at least `explained` of the total variance
-    (default 0.95). Solved through the n x n Gram eigenproblem under the
-    integration metric, which is cheap when n << grid size and identical to
-    the plain SVD of the stacked sample covariance for circle-domain data.
-    Eigenfunctions come out exactly L2-orthonormal. Sign convention: the
-    largest-magnitude entry of each eigenfunction is positive.
+    (default 0.95). Solved by one thin SVD of the weighted sample matrix
+    X sqrt(w) = U S V^T: the eigenvalues are s^2 / (n - 1) and the
+    eigenfunctions V / sqrt(w), which come out exactly L2-orthonormal.
+    Sign convention: the largest-magnitude entry of each eigenfunction is
+    positive.
     """
     if len(tangents) < 2:
         raise ValidationError("fpca needs >= 2 tangent vectors")
@@ -136,20 +121,16 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
 
     base = _check_common_base(tangents)
     proto = tangents[0].v
-    X = np.stack([_flatten(t.v) for t in tangents])  # n x M
+    X, w = _samples([t.v for t in tangents])
     n = X.shape[0]
-    w = _quadrature_vector(proto)
-
-    gram = (X * w) @ X.T / (n - 1)
-    mu, V = np.linalg.eigh(gram)
-    order = np.argsort(mu)[::-1]
-    mu, V = mu[order], V[:, order]
-    total = float(np.clip(mu, 0.0, None).sum())
-    positive = mu > max(mu[0], 0.0) * 1e-12 if mu[0] > 0 else mu > 0
-    n_pos = int(np.sum(positive))
+    root_w = np.sqrt(w)
+    _, s, Vt = np.linalg.svd(X * root_w, full_matrices=False)
+    mu = s * s / (n - 1)
+    total = float(mu.sum())
+    n_pos = int(np.sum(mu > mu[0] * 1e-12))
     if n_pos == 0:
         raise ValidationError("all tangent vectors are zero; nothing to decompose")
-    mu, V = mu[:n_pos], V[:, :n_pos]
+    mu = mu[:n_pos]
 
     if rank is not None:
         if rank < 1 or rank > n - 1:
@@ -162,17 +143,19 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
         rank = min(rank, n_pos)
 
     # L2-orthonormal eigenfunctions of the covariance operator, with
-    # deterministic signs
-    U = X.T @ (V[:, :rank] / np.sqrt((n - 1) * mu[:rank]))
-    flips = np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
-    U *= flips
+    # deterministic signs, reshaped back to function samples
+    E = Vt[:rank] / root_w
+    E *= np.sign(E[np.arange(rank), np.abs(E).argmax(axis=1)])[:, None]
+    if proto.is_planar:
+        E = E.reshape(rank, 2, -1).transpose(0, 2, 1)
+    if proto.periodic:
+        E = np.concatenate([E, E[:, :1]], axis=1)
 
-    funcs = [tangent_at(base, _unflatten(U[:, j], proto).values) for j in range(rank)]
     lams = mu[:rank].copy()
     lams.flags.writeable = False
     return FpcBasis(
         base=base,
-        eigenfunctions=tuple(funcs),
+        eigenfunctions=tuple(tangent_at(base, e) for e in E),
         eigenvalues=lams,
         rank=rank,
         explained_fraction=float(mu[:rank].sum() / total),
@@ -182,21 +165,10 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
 
 def coefficients(basis: FpcBasis, tangents, provenance: str = "") -> CoeffMatrix:
     """Project tangent vectors on the basis: c_ij = <delta_i, e_j>."""
-    base = _check_common_base(list(tangents) + [basis.eigenfunctions[0]])
-    del base
-    E = np.stack([_flatten(e.v) for e in basis.eigenfunctions])  # r x M
-    X = np.stack([_flatten(t.v) for t in tangents])  # n x M
-    m = _distinct_count(basis.eigenfunctions[0].v)
-    f0 = basis.eigenfunctions[0].v
-    if f0.periodic:
-        rows = (X @ E.T) * f0.grid.spacing
-    else:
-        # trapezoidal weights: half weight on the two domain endpoints
-        w = np.full(X.shape[1], f0.grid.spacing)
-        ends = [0, m - 1] if not f0.is_planar else [0, m - 1, m, 2 * m - 1]
-        w[ends] /= 2.0
-        rows = (X * w) @ E.T
-    return CoeffMatrix(rows, provenance)
+    _check_common_base(list(tangents) + [basis.eigenfunctions[0]])
+    X, w = _samples([t.v for t in tangents])
+    E, _ = _samples([e.v for e in basis.eigenfunctions])
+    return CoeffMatrix((X * w) @ E.T, provenance)
 
 
 @dataclass(frozen=True)
@@ -301,7 +273,8 @@ def tangent_mode_pipeline(
     mean_2, tan_2 = _group_mean_tangents(group_b, kind_a)
     p1 = mean_1.p if kind_a == "pdf" else mean_1.q
     p2 = mean_2.p if kind_a == "pdf" else mean_2.q
-    moved = [parallel_transport(t, p1, p2) for t in tan_1]
+    rows = _transport_rows(np.stack([t.v.values for t in tan_1]), p1, p2)
+    moved = [TangentVector(p2, p2.f.with_values(v)) for v in rows]
     basis = _fit(list(moved) + list(tan_2), kind_a)
     c1 = coefficients(basis, moved, f"{kind_a}/transport/group1")
     c2 = coefficients(basis, tan_2, f"{kind_a}/transport/group2")

@@ -27,7 +27,8 @@ from .numerics import (
     norm,
     trapezoid_weights,
 )
-from .sphere import SpherePoint, TangentVector, exp_map, log_map, tangent_at
+from .sphere import SpherePoint, TangentVector, exp_map, tangent_at
+from .sphere import _log_rows, _remove_component
 
 CLOSURE_TOL = 1e-4
 # registration stops for a curve once a round lowers its cost by no more
@@ -694,12 +695,15 @@ def preshape_normal_basis(mean: Srvf):
     return p1, p2
 
 
-def _remove_normal(vals: np.ndarray, mean: Srvf, phis) -> np.ndarray:
-    grid = mean.q.f.grid
-    f = DiscreteFunction(grid, vals, periodic=True)
-    for phi in phis:
-        f = f - inner_product(f, phi) * phi
-    return f.values
+def _preshape_tangents(mean: Srvf, stars) -> np.ndarray:
+    """Log maps at the mean of registered SRVFs, with the two
+    closure-constraint components removed: an (n, M, 2) array."""
+    base = mean.q.f
+    w = trapezoid_weights(base.grid.n_points)
+    V = _log_rows(base.values, np.stack([s.q.f.values for s in stars]), w)
+    for phi in preshape_normal_basis(mean):
+        V = _remove_component(V, phi.values, w)
+    return V
 
 
 def project_Pi(q, mean: Srvf):
@@ -714,12 +718,8 @@ def project_Pi(q, mean: Srvf):
     single = isinstance(q, Srvf)
     qs = [q] if single else list(q)
     regs = register_batch(mean, qs, rigid_candidates=2)
-    phis = preshape_normal_basis(mean)
-    out = []
-    for _, star in regs:
-        log = log_map(mean.q, star.q)
-        vals = _remove_normal(log.v.values, mean, phis)
-        out.append(tangent_at(mean.q, vals))
+    rows = _preshape_tangents(mean, [star for _, star in regs])
+    out = [tangent_at(mean.q, v) for v in rows]
     return out[0] if single else out
 
 
@@ -764,15 +764,8 @@ def shape_karcher_mean(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        phis = preshape_normal_basis(mean)
-        tangent_avg = np.mean(
-            [
-                _remove_normal(log_map(mean.q, star.q).v.values, mean, phis)
-                for _, star in regs
-            ],
-            axis=0,
-        )
-        direction = tangent_at(mean.q, tangent_avg)
+        rows = _preshape_tangents(mean, [star for _, star in regs])
+        direction = tangent_at(mean.q, rows.mean(axis=0))
         gnorm = direction.length
         if gnorm <= tol:
             converged = True

@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .fpca import FpcBasis, coefficients, fit_fpca
 from .numerics import DiscreteFunction, Grid
 from .shape import Curve, shape_tangent_coordinates
-from .sphere import TangentVector, exp_map, parallel_transport
+from .sphere import TangentVector, _transport_rows, exp_map
 
 PDF_GROUPS = (1, 2, 3)
 CURVE_REGIMES = ("high", "moderate", "weak")
@@ -198,14 +198,7 @@ def _child_seed(rng_seed: int, index: int) -> int:
 
 def _synthesize(mean, basis, coeffs, scale):
     """New densities exp_mean(sum_j x_j e_j)^2 from coefficient rows."""
-    out = []
-    for row in coeffs:
-        vals = sum(
-            scale * x * e.v.values for x, e in zip(row, basis.eigenfunctions)
-        )
-        point = exp_map(mean.p, TangentVector(mean.p, mean.p.f.with_values(vals)))
-        out.append(srt_inverse(point))
-    return out
+    return [srt_inverse(exp_map(mean.p, basis.direction(scale * row))) for row in coeffs]
 
 
 def recovery_protocol_pdf(
@@ -314,19 +307,19 @@ def recovery_protocol_shape(
     # transported layout: move group 1's tangent data and its eigenbasis to
     # group 2's tangent space and read the coefficients there; transport is
     # an isometry, so the estimates change only by numerical error
-    moved = [parallel_transport(t, mean1.q, mean2.q) for t in tan1]
+    V = np.stack([t.v.values for t in list(tan1) + list(b1.eigenfunctions)])
+    rows = _transport_rows(V, mean1.q, mean2.q)
+    moved = [TangentVector(mean2.q, mean2.q.f.with_values(v)) for v in rows]
     moved_basis = FpcBasis(
         base=mean2.q,
-        eigenfunctions=tuple(
-            parallel_transport(e, mean1.q, mean2.q) for e in b1.eigenfunctions
-        ),
+        eigenfunctions=tuple(moved[n:]),
         eigenvalues=b1.eigenvalues,
         rank=b1.rank,
         explained_fraction=b1.explained_fraction,
         total_variance=b1.total_variance,
     )
     rho_tra = cca(
-        coefficients(moved_basis, moved), coefficients(b2, tan2)
+        coefficients(moved_basis, moved[:n]), coefficients(b2, tan2)
     ).correlations
 
     return ShapeRecovery(rho_truth, rho_sep, rho_tra, (locs1, locs2))

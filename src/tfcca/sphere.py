@@ -4,7 +4,9 @@ All quantities are available in closed form: geodesic distance is
 arccos of the inner product, the exponential map is
 exp_p(v) = cos(|v|) p + sin(|v|) v/|v|, and its inverse is
 log_p(q) = (d / sin d)(q - cos(d) p). The Karcher mean is computed by
-gradient descent on the variance functional using these maps.
+gradient descent on the variance functional using these maps. The log map
+and transport run on stacked (n, M) or (n, M, 2) sample arrays, one row per
+function; log_map and parallel_transport are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntipodeError, ValidationError
-from .numerics import DiscreteFunction, inner_product, norm
+from .numerics import DiscreteFunction, inner_product, norm, trapezoid_weights
+from .numerics import _check_compatible
 
 ANTIPODE_MARGIN = 1e-6
 
@@ -65,13 +68,9 @@ class KarcherMeanResult:
     variance_trace: tuple = field(default=())
 
 
-def _clamped_ip(p1: SpherePoint, p2: SpherePoint) -> float:
-    return float(np.clip(inner_product(p1.f, p2.f), -1.0, 1.0))
-
-
 def geodesic_distance(p1: SpherePoint, p2: SpherePoint) -> float:
     """Great-circle distance arccos(<p1, p2>), in [0, pi]."""
-    return float(np.arccos(_clamped_ip(p1, p2)))
+    return float(np.arccos(np.clip(inner_product(p1.f, p2.f), -1.0, 1.0)))
 
 
 def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
@@ -85,21 +84,48 @@ def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
     return SpherePoint(DiscreteFunction(base.f.grid, vals, base.f.periodic))
 
 
+def _ip_rows(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Inner products under weights w of the rows of X with y (or its rows)."""
+    prod = X * y
+    if prod.ndim == 3:
+        prod = prod.sum(axis=2)
+    return prod @ w
+
+
+def _per_row(a: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Shape a length-n vector to scale the rows of X."""
+    return a.reshape((-1,) + (1,) * (X.ndim - 1))
+
+
+def _remove_component(V: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of V minus their components along the unit-norm function e."""
+    return V - _per_row(_ip_rows(V, e, w), V) * e
+
+
+def _log_rows(base_vals: np.ndarray, X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log_p(x) = (d / sin d)(x - cos(d) p) for each row x of X, with p the
+    samples base_vals and w the quadrature weights; quadrature-level drift
+    along p is removed, and a row near the antipode raises AntipodeError."""
+    c = np.clip(_ip_rows(X, base_vals, w), -1.0, 1.0)
+    d = np.arccos(c)
+    if d.max() >= np.pi - ANTIPODE_MARGIN:
+        raise AntipodeError(f"antipode: d(base, target) = {d.max():.8f} >= pi - 1e-6")
+    near = d < 1e-14
+    scale = np.where(near, 0.0, d / np.sin(np.where(near, 1.0, d)))
+    V = _per_row(scale, X) * (X - _per_row(c, X) * base_vals)
+    return _remove_component(V, base_vals, w)
+
+
 def log_map(base: SpherePoint, target: SpherePoint) -> TangentVector:
-    """Inverse exponential map; undefined near the antipode of base."""
-    c = _clamped_ip(base, target)
-    d = float(np.arccos(c))
-    if d >= np.pi - ANTIPODE_MARGIN:
-        raise AntipodeError(f"antipode: d(base, target) = {d:.8f} >= pi - 1e-6")
-    if d < 1e-14:
-        return TangentVector(base, base.f.with_values(np.zeros_like(base.f.values)))
-    scale = d / np.sin(d)
-    vals = scale * (target.f.values - c * base.f.values)
-    # remove quadrature-level drift along the base direction
-    w = base.f.with_values(vals)
-    drift = inner_product(w, base.f)
-    vals = vals - drift * base.f.values
-    return TangentVector(base, base.f.with_values(vals))
+    """Inverse exponential map; undefined near the antipode of base.
+
+    A one-row call of the batched log map behind karcher_mean and the
+    density and shape tangent coordinates.
+    """
+    f = base.f
+    _check_compatible(f, target.f)
+    vals = _log_rows(f.values, target.f.values[None], trapezoid_weights(f.grid.n_points))
+    return TangentVector(base, f.with_values(vals[0]))
 
 
 def tangent_at(base: SpherePoint, values: np.ndarray) -> TangentVector:
@@ -118,8 +144,9 @@ def karcher_mean(
     """Karcher (Frechet) mean on the sphere by tangent-space averaging.
 
     Iterates p <- exp_p(step * mean_i log_p(p_i)) from the renormalized
-    extrinsic average until the gradient norm drops below tol. Non-convergence
-    is flagged in the result rather than raised.
+    extrinsic average until the gradient norm drops below tol, taking all
+    log maps in one call on the stacked samples. Non-convergence is flagged
+    in the result rather than raised.
     """
     if not points:
         raise ValidationError("karcher_mean needs at least one point")
@@ -128,16 +155,16 @@ def karcher_mean(
 
     proto = points[0].f
     stack = np.stack([p.f.values for p in points])
+    w = trapezoid_weights(proto.grid.n_points)
     mean = SpherePoint(DiscreteFunction(proto.grid, stack.mean(axis=0), proto.periodic))
 
     variance_trace = []
     grad_norm = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        logs = [log_map(mean, p) for p in points]
-        variance_trace.append(float(np.mean([t.length ** 2 for t in logs])))
-        avg = np.mean([t.v.values for t in logs], axis=0)
-        direction = tangent_at(mean, avg)
+        logs = _log_rows(mean.f.values, stack, w)
+        variance_trace.append(float(np.mean(np.maximum(_ip_rows(logs, logs, w), 0.0))))
+        direction = tangent_at(mean, logs.mean(axis=0))
         grad_norm = direction.length
         if grad_norm <= tol:
             return KarcherMeanResult(
@@ -147,22 +174,31 @@ def karcher_mean(
     return KarcherMeanResult(mean, iterations, grad_norm, False, tuple(variance_trace))
 
 
-def parallel_transport(
-    v: TangentVector, source: SpherePoint, target: SpherePoint
-) -> TangentVector:
-    """Transport v along the geodesic from source to target.
-
-    Uses the standard sphere formula
+def _transport_rows(
+    V: np.ndarray, source: SpherePoint, target: SpherePoint
+) -> np.ndarray:
+    """Transport each row v of V along the geodesic from source to target by
         v - (<u, v> / d^2) (u + log_target(source)),   u = log_source(target),
-    which preserves norms and pairwise inner products.
+    with u, log_target(source) and d computed once for all rows.
     """
     d = geodesic_distance(source, target)
     if d < 1e-12:
-        return TangentVector(target, v.v)
+        return V
     if d >= np.pi - ANTIPODE_MARGIN:
         raise AntipodeError("cannot transport to the antipode")
-    u = log_map(source, target)
-    u_back = log_map(target, source)
-    coef = inner_product(u.v, v.v) / (d * d)
-    vals = v.v.values - coef * (u.v.values + u_back.v.values)
-    return tangent_at(target, vals)
+    w = trapezoid_weights(target.f.grid.n_points)
+    p, q = source.f.values, target.f.values
+    u = _log_rows(p, q[None], w)[0]
+    u_back = _log_rows(q, p[None], w)[0]
+    V = V - _per_row(_ip_rows(V, u, w) / (d * d), V) * (u + u_back)
+    return _remove_component(V, q, w)
+
+
+def parallel_transport(
+    v: TangentVector, source: SpherePoint, target: SpherePoint
+) -> TangentVector:
+    """Transport v along the geodesic from source to target, preserving
+    norms and pairwise inner products; a one-row call of the batched map."""
+    _check_compatible(source.f, v.v)
+    vals = _transport_rows(v.v.values[None], source, target)[0]
+    return TangentVector(target, target.f.with_values(vals))

@@ -308,14 +308,14 @@ def test_criterion_6_cvr_endpoints():
 def test_criterion_7_cli_determinism(tmp_path):
     start = time.time()
     env_base = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                "TFCCA_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env_base.pop(var, None)
 
     def run(args, threads=None):
+        # threads: the BLAS thread count the caller exports, None for unset
         env = dict(env_base)
         if threads is not None:
-            env["TFCCA_NUM_THREADS"] = threads
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
         proc = subprocess.run(
             [sys.executable, "-m", "tfcca", *args],
             env=env, capture_output=True, text=True,

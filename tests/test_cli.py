@@ -234,75 +234,91 @@ class TestDeterminism:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_across_thread_settings_subprocess(self, pdf_dataset, tmp_path):
+    def test_across_thread_settings_subprocess(self, tmp_path):
+        # BLAS thread counts exported by the caller: unset, 1 and 4. At 40
+        # subjects on a 400-point grid a multi-threaded BLAS changes the
+        # report's bytes, so the check fails if the pin gives way.
+        sim = tmp_path / "sim"
+        assert run_cli([
+            "simulate", "pdf", "--groups", "1,2", "--n", "40", "--seed", "7",
+            "--grid", "400", "--out-dir", str(sim),
+        ]) == 0
         blobs = []
-        for threads in ("1", "2"):
+        for threads in (None, "1", "4"):
             out = tmp_path / f"rep_t{threads}.json"
-            env = dict(os.environ, TFCCA_NUM_THREADS=threads)
-            env.pop("OPENBLAS_NUM_THREADS", None)
-            env.pop("OMP_NUM_THREADS", None)
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(var, None)
+                if threads is not None:
+                    env[var] = threads
             proc = subprocess.run(
                 [sys.executable, "-m", "tfcca", "pdf-cca",
-                 "--input-a", str(pdf_dataset / "group_a.csv"),
-                 "--input-b", str(pdf_dataset / "group_b.csv"),
-                 "--rank", "2", "--grid", "300", "--out", str(out)],
+                 "--input-a", str(sim / "group_a.csv"),
+                 "--input-b", str(sim / "group_b.csv"),
+                 "--rank", "2", "--grid", "400", "--out", str(out)],
                 env=env, capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
             blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+        assert blobs[0] == blobs[1] == blobs[2]
 
 
-def _response_text(rows):
-    return "id,months\n" + "\n".join(rows) + "\n"
+GOOD_RESPONSE = ["id,months"] + [f"s{i:04d},{10 + i}" for i in range(14)]
+RAGGED_PDF_HEADER = ["t,s1,s2,s3"]
 
-
-GOOD_RESPONSE = [f"s{i:04d},{10 + i}" for i in range(14)]
-
-# (case, files to write, argv); "{data}" is the simulated pdf dataset and
-# "{tmp}" the test's scratch directory
+# (case, files to write as lines, argv, text the reason must contain); "{data}"
+# is the simulated pdf dataset and "{tmp}" the test's scratch directory
 MALFORMED = [
     ("missing input file", {},
      ["pdf-cca", "--input-a", "{tmp}/absent.csv", "--input-b", "{tmp}/absent.csv",
-      "--out", "{tmp}/r.json"]),
+      "--out", "{tmp}/r.json"], "{tmp}/absent.csv"),
     ("non-numeric response", {"resp.csv": GOOD_RESPONSE[:-1] + ["s0013,soon"]},
      ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
       "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
-      "--out", "{tmp}/r.json"]),
+      "--out", "{tmp}/r.json"], "resp.csv:15: non-numeric response"),
     ("response row with only an id", {"resp.csv": GOOD_RESPONSE[:-1] + ["s0013"]},
      ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
       "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
-      "--out", "{tmp}/r.json"]),
+      "--out", "{tmp}/r.json"], "resp.csv:15: need 'id,response'"),
     ("samples not a list", {"s.jsonl": ['{"id": "a", "samples": 5}']},
      ["pdf-cca", "--input-a", "{tmp}/s.jsonl", "--input-b", "{tmp}/s.jsonl",
-      "--out", "{tmp}/r.json"]),
+      "--out", "{tmp}/r.json"], "'samples' of 'a' must be a list"),
     ("record not an object", {"s.jsonl": ["5"]},
      ["pdf-cca", "--input-a", "{tmp}/s.jsonl", "--input-b", "{tmp}/s.jsonl",
-      "--out", "{tmp}/r.json"]),
+      "--out", "{tmp}/r.json"], "s.jsonl:1: a record must be a JSON object"),
     ("non-numeric curve point",
      {"c.jsonl": ['{"id": "a", "points": [[0, 0], [1, "x"], [0, 1]]}']},
      ["shape-cca", "--input-a", "{tmp}/c.jsonl", "--input-b", "{tmp}/c.jsonl",
-      "--out", "{tmp}/r.json"]),
+      "--out", "{tmp}/r.json"], "curve points must be numbers"),
     ("zero cvr repeats", {"resp.csv": GOOD_RESPONSE},
      ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
       "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
-      "--repeats", "0", "--out", "{tmp}/r.json"]),
+      "--repeats", "0", "--out", "{tmp}/r.json"], "repeats must be >= 1"),
     # a directory cannot be made under a regular file, even by root
     ("unwritable output", {"file": []},
      ["pdf-cca", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
-      "--rank", "2", "--grid", "300", "--out", "{tmp}/file/r.json"]),
+      "--rank", "2", "--grid", "300", "--out", "{tmp}/file/r.json"], "{tmp}/file"),
+    ("csv header names more subjects than the rows have",
+     {"pdf.csv": RAGGED_PDF_HEADER + ["0,1,1", "0.5,1,1", "1,1,1"]},
+     ["pdf-cca", "--input-a", "{tmp}/pdf.csv", "--input-b", "{tmp}/pdf.csv",
+      "--out", "{tmp}/r.json"], "pdf.csv:2: 3 cells, the header has 4"),
+    ("csv row with a missing cell",
+     {"pdf.csv": RAGGED_PDF_HEADER + ["0,1,1,1", "0.5,1,1", "1,1,1,1"]},
+     ["pdf-cca", "--input-a", "{tmp}/pdf.csv", "--input-b", "{tmp}/pdf.csv",
+      "--out", "{tmp}/r.json"], "pdf.csv:3: 3 cells, the header has 4"),
 ]
 
 
-@pytest.mark.parametrize("case,files,argv", MALFORMED, ids=[m[0] for m in MALFORMED])
-def test_malformed_input_exits_2_with_reason(case, files, argv, pdf_dataset,
+@pytest.mark.parametrize("case,files,argv,reason", MALFORMED,
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_input_exits_2_with_reason(case, files, argv, reason, pdf_dataset,
                                              tmp_path, capsys):
     for name, lines in files.items():
-        text = _response_text(lines) if name.endswith(".csv") else "\n".join(lines)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
     argv = [a.format(data=pdf_dataset, tmp=tmp_path) for a in argv]
     code = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 2, case
     assert err.startswith("error: validation: "), err
     assert err.count("\n") == 1, err
+    assert reason.format(tmp=tmp_path) in err, err

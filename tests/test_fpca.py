@@ -117,6 +117,36 @@ class TestFitFpca:
         mu = np.sort(np.linalg.eigvalsh(G))[::-1][:8]
         np.testing.assert_allclose(basis.eigenvalues, mu, rtol=1e-6, atol=1e-12)
 
+    def test_gram_oracle_agreement_periodic_planar(self):
+        # closed planar tangents: the identified endpoint is one sample with
+        # the full weight h, so the oracle is the dense covariance of the
+        # distinct samples (x then y) under the circle weights
+        rng = np.random.default_rng(17)
+        g = Grid(61)
+        theta = 2 * np.pi * g.points
+        base = SpherePoint(DiscreteFunction(
+            g, np.stack([np.cos(theta) + 0.3, np.sin(theta)], axis=1), periodic=True
+        ))
+        tangents = []
+        for _ in range(7):
+            vals = sum(
+                rng.standard_normal(2) / k
+                * np.cos(k * theta + rng.uniform(0, 2 * np.pi))[:, None]
+                for k in range(1, 6)
+            )
+            tangents.append(tangent_at(base, vals))
+        basis = fit_fpca(tangents, rank=6)
+        X = np.stack([t.v.values[:-1].T.reshape(-1) for t in tangents])
+        root_w = np.sqrt(np.full(X.shape[1], g.spacing))
+        C = X.T @ X / (len(tangents) - 1)
+        mu = np.sort(np.linalg.eigvalsh(root_w[:, None] * C * root_w))[::-1][:6]
+        np.testing.assert_allclose(basis.eigenvalues, mu, rtol=1e-6, atol=1e-12)
+        for i, ei in enumerate(basis.eigenfunctions):
+            for j, ej in enumerate(basis.eigenfunctions):
+                assert inner_product(ei.v, ej.v) == pytest.approx(
+                    1.0 if i == j else 0.0, abs=1e-9
+                )
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(6)
         tangents = smooth_tangents(rng, smooth_base(), 8)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfcca import (
     AntipodeError,
@@ -15,7 +17,8 @@ from tfcca import (
     norm,
     parallel_transport,
 )
-from tfcca.sphere import tangent_at
+from tfcca.numerics import trapezoid_weights
+from tfcca.sphere import _ip_rows, _log_rows, _transport_rows, tangent_at
 
 N = 301
 GRID = Grid(N)
@@ -199,3 +202,53 @@ class TestParallelTransport:
         w = parallel_transport(u, p, q)
         back = log_map(q, p)
         np.testing.assert_allclose(w.v.values, -back.v.values, atol=1e-8)
+
+
+@st.composite
+def batch_on_sphere(draw):
+    """A base point, sample rows at geodesic distances below the antipode
+    margin, and the quadrature weights, on a random scalar or planar grid."""
+    n_points = draw(st.integers(5, 120))
+    planar = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6))
+    grid = Grid(n_points)
+    shape = (n_points, 2) if planar else (n_points,)
+    base = SpherePoint(DiscreteFunction(grid, 1.0 + 0.5 * rng.standard_normal(shape),
+                                        periodic=planar))
+    rows = []
+    for s in scales:
+        v = tangent_at(base, rng.standard_normal(shape))
+        rows.append(exp_map(base, TangentVector(base, v.v * (s / v.length))))
+    return base, rows, trapezoid_weights(n_points)
+
+
+class TestBatchedMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(batch_on_sphere())
+    def test_log_rows_match_log_map(self, batch):
+        base, points, w = batch
+        X = np.stack([p.f.values for p in points])
+        V = _log_rows(base.f.values, X, w)
+        for row, p in zip(V, points):
+            np.testing.assert_allclose(row, log_map(base, p).v.values, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch_on_sphere(), st.integers(0, 2**32 - 1))
+    def test_transport_rows_match_and_keep_inner_products(self, batch, seed):
+        source, points, w = batch
+        target = points[0]
+        rng = np.random.default_rng(seed)
+        vectors = [tangent_at(source, rng.standard_normal(source.f.values.shape))
+                   for _ in range(4)]
+        V = np.stack([v.v.values for v in vectors])
+        moved = _transport_rows(V, source, target)
+        for row, v in zip(moved, vectors):
+            np.testing.assert_allclose(
+                row, parallel_transport(v, source, target).v.values, atol=1e-12
+            )
+        np.testing.assert_allclose(
+            [_ip_rows(moved, row, w) for row in moved],
+            [_ip_rows(V, row, w) for row in V],
+            atol=1e-8,
+        )
