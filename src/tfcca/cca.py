@@ -63,6 +63,15 @@ def _check_r_factor(R: np.ndarray, ridge: float, name: str):
         )
 
 
+def _canonical_svd(M: np.ndarray):
+    """Thin SVD M = U diag(sig) V^T with deterministic signs: the dominant
+    entry of each left vector is positive, and its right vector flips with
+    it so pair correlations stay nonnegative. Returns (U, sig, V)."""
+    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
+    flips = np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
+    return U * flips, sig, Vt.T * flips
+
+
 def cca(C1, C2, ridge: float = 0.0):
     """Canonical correlation analysis between two coefficient matrices.
 
@@ -98,15 +107,9 @@ def cca(C1, C2, ridge: float = 0.0):
         cross = X1c.T @ X2c
         M = np.linalg.solve(S1.T, np.linalg.solve(S2.T, cross.T).T)
 
-    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
-    # deterministic signs: dominant entry of each left vector positive,
-    # right vector flipped with it so pair correlations stay nonnegative
-    flips = np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
-    U = U * flips
-    Vt = Vt * flips[:, None]
-
+    U, sig, V = _canonical_svd(M)
     W1 = np.linalg.solve(S1, U) * np.sqrt(n - 1)
-    W2 = np.linalg.solve(S2, Vt.T) * np.sqrt(n - 1)
+    W2 = np.linalg.solve(S2, V) * np.sqrt(n - 1)
     V1, V2 = X1c @ W1, X2c @ W2
     # exact unit sample variance even when a ridge perturbed the scaling
     sd1 = np.sqrt((V1 * V1).sum(axis=0) / (n - 1))

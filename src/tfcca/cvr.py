@@ -8,6 +8,8 @@ block-coordinate descent where each variate-matrix update is an orthogonal
 Procrustes step inside the column space of its coefficient matrix, and the
 regression parameters are refit by least squares on the stacked variates.
 Every block update is an exact minimizer, so the objective is nonincreasing.
+The descent starts at classical CCA, read off the canonical SVD of the two
+views' own QR factors, so no separate CCA runs per fit.
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import _as_matrix, cca
+from .cca import _as_matrix, _canonical_svd, _check_r_factor
 from .errors import ValidationError
+
+# block-coordinate descent stops once the objective falls by no more than
+# CVR_TOL relative, or after CVR_MAX_ITER sweeps
+CVR_TOL = 1e-6
+CVR_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -68,20 +75,15 @@ def _ols(V1: np.ndarray, V2: np.ndarray, y: np.ndarray):
     return float(coef[0]), coef[1:]
 
 
-def cvr_fit(
-    C1,
-    C2,
-    y,
-    d: int,
-    eta: float,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-) -> CvrResult:
+def cvr_fit(C1, C2, y, d: int, eta: float) -> CvrResult:
     """Fit canonical variate regression for a fixed eta in [0, 1].
 
     Both coefficient matrices are centered internally (the intercept absorbs
     the means) and the orthonormality constraint W^T C^T C W = I_d applies to
-    the centered matrices. At eta = 1 the solution reduces to classical CCA;
+    the centered matrices. The descent starts at the classical CCA solution,
+    the leading d singular vectors of Q1^T Q2 from the centered matrices' own
+    QR factors, and runs until the objective stops falling (CVR_TOL, at most
+    CVR_MAX_ITER sweeps). At eta = 1 the solution reduces to classical CCA;
     at eta = 0 it is least-squares regression on constrained variates.
     """
     X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
@@ -102,12 +104,15 @@ def cvr_fit(
     X1c, X2c = X1 - m1, X2 - m2
     Q1, R1 = _qr_checked(X1c, "C1")
     Q2, R2 = _qr_checked(X2c, "C2")
+    if n < 3:
+        raise ValidationError(f"need n >= 3 paired rows, got {n}")
+    _check_r_factor(R1, 0.0, "C1")
+    _check_r_factor(R2, 0.0, "C2")
 
-    # warm start at the classical CCA solution, rescaled to orthonormal
-    # variates (unit Euclidean columns rather than unit sample variance)
-    start = cca(X1, X2)
-    Z1 = R1 @ (start.weights_1[:, :d] / np.sqrt(n - 1))
-    Z2 = R2 @ (start.weights_2[:, :d] / np.sqrt(n - 1))
+    # warm start at the classical CCA solution in orthonormal variates
+    # (unit Euclidean columns rather than unit sample variance)
+    U, _, V = _canonical_svd(Q1.T @ Q2)
+    Z1, Z2 = U[:, :d], V[:, :d]
     V1, V2 = Q1 @ Z1, Q2 @ Z2
     alpha, beta = _ols(V1, V2, y)
 
@@ -121,7 +126,7 @@ def cvr_fit(
 
     trace = [objective(V1, V2, alpha, beta)]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(CVR_MAX_ITER):
         ytil = (y - alpha)[:, None]
         Z1 = _polar(Q1.T @ (eta * V2 + (1 - eta) * ytil * beta[None, :]))
         V1 = Q1 @ Z1
@@ -129,7 +134,7 @@ def cvr_fit(
         V2 = Q2 @ Z2
         alpha, beta = _ols(V1, V2, y)
         trace.append(objective(V1, V2, alpha, beta))
-        if abs(trace[-2] - trace[-1]) <= tol * max(1.0, abs(trace[-2])):
+        if abs(trace[-2] - trace[-1]) <= CVR_TOL * max(1.0, abs(trace[-2])):
             converged = True
             break
 
@@ -178,7 +183,6 @@ def cvr_cross_validate(
     split: float = 0.8,
     repeats: int = 100,
     rng_seed: int = 0,
-    **fit_opts,
 ):
     """Tune eta by repeated random splits.
 
@@ -214,7 +218,7 @@ def cvr_cross_validate(
         tr, te = perm[:n_train], perm[n_train:]
         best_eta, best_mse, best_pred = None, np.inf, None
         for j, eta in enumerate(eta_grid):
-            fit = cvr_fit(X1[tr], X2[tr], y[tr], d, eta, **fit_opts)
+            fit = cvr_fit(X1[tr], X2[tr], y[tr], d, eta)
             pred = cvr_predict(fit, X1[te], X2[te])
             mse = float(np.mean((y[te] - pred) ** 2))
             mse_matrix[rep, j] = mse

@@ -46,10 +46,9 @@ class FpcBasis:
 
 @dataclass(frozen=True)
 class CoeffMatrix:
-    """n x r matrix of tangent PC coefficients plus provenance tag."""
+    """n x r matrix of tangent PC coefficients."""
 
     rows: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         r = np.asarray(self.rows, dtype=float)
@@ -163,12 +162,12 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
     )
 
 
-def coefficients(basis: FpcBasis, tangents, provenance: str = "") -> CoeffMatrix:
+def coefficients(basis: FpcBasis, tangents) -> CoeffMatrix:
     """Project tangent vectors on the basis: c_ij = <delta_i, e_j>."""
     _check_common_base(list(tangents) + [basis.eigenfunctions[0]])
     X, w = _samples([t.v for t in tangents])
     E, _ = _samples([e.v for e in basis.eigenfunctions])
-    return CoeffMatrix((X * w) @ E.T, provenance)
+    return CoeffMatrix((X * w) @ E.T)
 
 
 @dataclass(frozen=True)
@@ -248,8 +247,8 @@ def tangent_mode_pipeline(
         mean_1, tan_1 = _group_mean_tangents(group_a, kind_a)
         mean_2, tan_2 = _group_mean_tangents(group_b, kind_b)
         basis_1, basis_2 = _fit(tan_1, kind_a), _fit(tan_2, kind_b)
-        c1 = coefficients(basis_1, tan_1, f"{kind_a}/separate/group1")
-        c2 = coefficients(basis_2, tan_2, f"{kind_b}/separate/group2")
+        c1 = coefficients(basis_1, tan_1)
+        c2 = coefficients(basis_2, tan_2)
         return TangentModeResult(
             f"{kind_a}+{kind_b}" if kind_a != kind_b else kind_a,
             mode, c1, c2, basis_1, basis_2, mean_1, mean_2, tan_1, tan_2,
@@ -262,8 +261,8 @@ def tangent_mode_pipeline(
         n = len(group_a)
         tan_1, tan_2 = pooled_tan[:n], pooled_tan[n:]
         basis = _fit(pooled_tan, kind_a)
-        c1 = coefficients(basis, tan_1, f"{kind_a}/pooled/group1")
-        c2 = coefficients(basis, tan_2, f"{kind_a}/pooled/group2")
+        c1 = coefficients(basis, tan_1)
+        c2 = coefficients(basis, tan_2)
         return TangentModeResult(
             kind_a, mode, c1, c2, basis, basis, pooled_mean, pooled_mean, tan_1, tan_2
         )
@@ -276,8 +275,8 @@ def tangent_mode_pipeline(
     rows = _transport_rows(np.stack([t.v.values for t in tan_1]), p1, p2)
     moved = [TangentVector(p2, p2.f.with_values(v)) for v in rows]
     basis = _fit(list(moved) + list(tan_2), kind_a)
-    c1 = coefficients(basis, moved, f"{kind_a}/transport/group1")
-    c2 = coefficients(basis, tan_2, f"{kind_a}/transport/group2")
+    c1 = coefficients(basis, moved)
+    c2 = coefficients(basis, tan_2)
     return TangentModeResult(
         kind_a, mode, c1, c2, basis, basis, mean_1, mean_2, moved, tan_2
     )

@@ -11,16 +11,16 @@ correlations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cca import cca
-from .density import Pdf, pdf_tangent_coordinates, srt_inverse
+from .density import Pdf, srt_inverse
 from .errors import ValidationError
-from .fpca import FpcBasis, coefficients, fit_fpca
+from .fpca import coefficients, tangent_mode_pipeline
 from .numerics import DiscreteFunction, Grid
-from .shape import Curve, shape_tangent_coordinates
+from .shape import Curve
 from .sphere import TangentVector, _transport_rows, exp_map
 
 PDF_GROUPS = (1, 2, 3)
@@ -216,12 +216,14 @@ def recovery_protocol_pdf(
     1. draw paired Gaussian coefficient vectors with diagonal cross-covariance
        and compute their sample CCA (the ground truth);
     2. generate two carrier groups of mixture densities;
-    3. fit per-group Karcher means and rank-r eigenbases;
+    3. fit per-group Karcher means and rank-r eigenbases (the separate
+       layout of tangent_mode_pipeline);
     4. synthesize new densities from the coefficients along those per-group
        bases (the synthesis is the same for every mode, so the modes are
        compared on identical data);
     5. re-estimate means, tangents, bases and coefficient matrices from the
-       synthesized densities under the requested mode (separate or pooled);
+       synthesized densities with tangent_mode_pipeline under the requested
+       mode (separate or pooled);
     6. run CCA on the re-estimated coefficients.
 
     The coefficient scale keeps the synthesized sphere points inside the
@@ -255,27 +257,15 @@ def recovery_protocol_pdf(
     ]
 
     # step 3: per-group means and eigenbases
-    means, bases = [], []
-    for group in carriers:
-        mean, tangents = pdf_tangent_coordinates(group)
-        means.append(mean)
-        bases.append(fit_fpca(tangents, rank=r))
+    fit = tangent_mode_pipeline(carriers[0], carriers[1], rank=r)
 
     # step 4: synthesize new densities from the step-1 coefficients
-    new1 = _synthesize(means[0], bases[0], X1, scale)
-    new2 = _synthesize(means[1], bases[1], X2, scale)
+    new1 = _synthesize(fit.mean_1, fit.basis_1, X1, scale)
+    new2 = _synthesize(fit.mean_2, fit.basis_2, X2, scale)
 
-    # steps 5-6: re-estimate and run CCA
-    if mode == "separate":
-        m1, t1 = pdf_tangent_coordinates(new1)
-        m2, t2 = pdf_tangent_coordinates(new2)
-        b1, b2 = fit_fpca(t1, rank=r), fit_fpca(t2, rank=r)
-        c1, c2 = coefficients(b1, t1), coefficients(b2, t2)
-    else:
-        m, t = pdf_tangent_coordinates(new1 + new2)
-        b = fit_fpca(t, rank=r)
-        c1, c2 = coefficients(b, t[:n]), coefficients(b, t[n:])
-    rho_hat = cca(c1, c2).correlations
+    # steps 5-6: re-estimate under the requested mode and run CCA
+    res = tangent_mode_pipeline(new1, new2, mode=mode, rank=r)
+    rho_hat = cca(res.c1, res.c2).correlations
     return PdfRecovery(rho_truth, rho_hat, X1, X2)
 
 
@@ -288,9 +278,10 @@ def recovery_protocol_shape(
 ) -> ShapeRecovery:
     """Ground-truth recovery study for shapes.
 
-    Generates the two correlated curve groups, runs the elastic pipeline with
-    rank r in separate and parallel-transported tangent layouts, and returns
-    the latent peak-location correlation next to both estimates.
+    Generates the two correlated curve groups, runs tangent_mode_pipeline
+    with rank r in the separate layout, moves its group-1 tangents and
+    eigenbasis to group 2's mean by parallel transport for a second
+    estimate, and returns the latent peak-location correlation next to both.
     """
     grid = grid or Grid(200)
     spec = CurveSimSpec(regime, n, grid, rng_seed)
@@ -298,28 +289,17 @@ def recovery_protocol_shape(
     curves2, locs2 = gen_curve_group(spec, 2)
     rho_truth = float(np.corrcoef(locs1, locs2)[0, 1])
 
-    mean1, tan1 = shape_tangent_coordinates(curves1)
-    mean2, tan2 = shape_tangent_coordinates(curves2)
-
-    b1, b2 = fit_fpca(tan1, rank=r), fit_fpca(tan2, rank=r)
-    rho_sep = cca(coefficients(b1, tan1), coefficients(b2, tan2)).correlations
+    sep = tangent_mode_pipeline(curves1, curves2, "separate", rank=r)
+    rho_sep = cca(sep.c1, sep.c2).correlations
 
     # transported layout: move group 1's tangent data and its eigenbasis to
     # group 2's tangent space and read the coefficients there; transport is
     # an isometry, so the estimates change only by numerical error
-    V = np.stack([t.v.values for t in list(tan1) + list(b1.eigenfunctions)])
-    rows = _transport_rows(V, mean1.q, mean2.q)
-    moved = [TangentVector(mean2.q, mean2.q.f.with_values(v)) for v in rows]
-    moved_basis = FpcBasis(
-        base=mean2.q,
-        eigenfunctions=tuple(moved[n:]),
-        eigenvalues=b1.eigenvalues,
-        rank=b1.rank,
-        explained_fraction=b1.explained_fraction,
-        total_variance=b1.total_variance,
-    )
-    rho_tra = cca(
-        coefficients(moved_basis, moved[:n]), coefficients(b2, tan2)
-    ).correlations
+    b1, target = sep.basis_1, sep.mean_2.q
+    V = np.stack([t.v.values for t in list(sep.tangents_1) + list(b1.eigenfunctions)])
+    rows = _transport_rows(V, sep.mean_1.q, target)
+    moved = [TangentVector(target, target.f.with_values(v)) for v in rows]
+    moved_basis = replace(b1, base=target, eigenfunctions=tuple(moved[n:]))
+    rho_tra = cca(coefficients(moved_basis, moved[:n]), sep.c2).correlations
 
     return ShapeRecovery(rho_truth, rho_sep, rho_tra, (locs1, locs2))

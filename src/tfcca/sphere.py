@@ -1,12 +1,14 @@
 """Geometry of the unit Hilbert sphere in L2([0,1]).
 
-All quantities are available in closed form: geodesic distance is
-arccos of the inner product, the exponential map is
-exp_p(v) = cos(|v|) p + sin(|v|) v/|v|, and its inverse is
-log_p(q) = (d / sin d)(q - cos(d) p). The Karcher mean is computed by
-gradient descent on the variance functional using these maps. The log map
-and transport run on stacked (n, M) or (n, M, 2) sample arrays, one row per
-function; log_map and parallel_transport are one-row calls of them.
+All quantities are available in closed form. With c = <p, q> and
+r = q - c p, the geodesic distance is d = atan2(|r|, c), the exponential
+map is exp_p(v) = cos(|v|) p + sin(|v|) v/|v|, and its inverse is
+log_p(q) = (d / |r|) r. The atan2 form resolves d at both ends, where
+arccos(c) loses every distance below about 1.5e-8. The Karcher mean is
+computed by gradient descent on the variance functional using these maps.
+The log map and transport run on stacked (n, M) or (n, M, 2) sample
+arrays, one row per function; log_map and parallel_transport are one-row
+calls of them.
 """
 
 from __future__ import annotations
@@ -69,8 +71,11 @@ class KarcherMeanResult:
 
 
 def geodesic_distance(p1: SpherePoint, p2: SpherePoint) -> float:
-    """Great-circle distance arccos(<p1, p2>), in [0, pi]."""
-    return float(np.arccos(np.clip(inner_product(p1.f, p2.f), -1.0, 1.0)))
+    """Great-circle distance atan2(|p2 - c p1|, c) with c = <p1, p2>, in
+    [0, pi]."""
+    _check_compatible(p1.f, p2.f)
+    w = trapezoid_weights(p1.grid.n_points)
+    return float(_angle_rows(p1.f.values, p2.f.values[None], w)[2][0])
 
 
 def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
@@ -78,7 +83,7 @@ def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
     if v.base is not base and norm(v.base.f - base.f) > 1e-8:
         raise ValidationError("tangent vector is attached to a different base point")
     L = v.length
-    if L < 1e-12:
+    if L == 0.0:
         return base
     vals = np.cos(L) * base.f.values + (np.sin(L) / L) * v.v.values
     return SpherePoint(DiscreteFunction(base.f.grid, vals, base.f.periodic))
@@ -102,18 +107,24 @@ def _remove_component(V: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray
     return V - _per_row(_ip_rows(V, e, w), V) * e
 
 
+def _angle_rows(base_vals: np.ndarray, X: np.ndarray, w: np.ndarray):
+    """For each row x of X and the base samples p: the part r = x - <x, p> p
+    orthogonal to p, its norm s and the angle d = atan2(s, <x, p>)."""
+    c = _ip_rows(X, base_vals, w)
+    R = X - _per_row(c, X) * base_vals
+    s = np.sqrt(_ip_rows(R, R, w))
+    return R, s, np.arctan2(s, c)
+
+
 def _log_rows(base_vals: np.ndarray, X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log_p(x) = (d / sin d)(x - cos(d) p) for each row x of X, with p the
+    """log_p(x) = (d / s) r for each row x of X (see _angle_rows), with p the
     samples base_vals and w the quadrature weights; quadrature-level drift
     along p is removed, and a row near the antipode raises AntipodeError."""
-    c = np.clip(_ip_rows(X, base_vals, w), -1.0, 1.0)
-    d = np.arccos(c)
+    R, s, d = _angle_rows(base_vals, X, w)
     if d.max() >= np.pi - ANTIPODE_MARGIN:
         raise AntipodeError(f"antipode: d(base, target) = {d.max():.8f} >= pi - 1e-6")
-    near = d < 1e-14
-    scale = np.where(near, 0.0, d / np.sin(np.where(near, 1.0, d)))
-    V = _per_row(scale, X) * (X - _per_row(c, X) * base_vals)
-    return _remove_component(V, base_vals, w)
+    R *= _per_row(np.divide(d, s, out=np.zeros_like(d), where=s > 0), X)
+    return _remove_component(R, base_vals, w)
 
 
 def log_map(base: SpherePoint, target: SpherePoint) -> TangentVector:

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfcca import NumericalError, ValidationError, cca, cca_oracle
 
 
 def random_matrix(rng, n, r, scale=1.0):
     return scale * rng.standard_normal((n, r))
+
+
+def well_conditioned(rng, r):
+    """Random r x r matrix with singular values in [0.5, 2]."""
+    Q1, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    return Q1 @ np.diag(rng.uniform(0.5, 2.0, r)) @ Q2
 
 
 class TestCca:
@@ -142,3 +151,22 @@ class TestOracleAgreement:
         rho = cca_oracle(C1, C2)
         assert rho[0] > 0.99
         assert rho[1] < 0.1
+
+
+class TestAffineInvarianceProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5),
+           st.integers(0, 60))
+    def test_correlations_invariant(self, seed, r1, r2, extra_rows):
+        # C1 -> C1 A + 1 b^T and C2 -> C2 B + 1 c^T leave the canonical
+        # correlations unchanged
+        rng = np.random.default_rng(seed)
+        n = r1 + r2 + 10 + extra_rows
+        z = rng.standard_normal((n, 1))
+        C1 = z + random_matrix(rng, n, r1)
+        C2 = z + random_matrix(rng, n, r2)
+        base = cca(C1, C2).correlations
+        A, B = well_conditioned(rng, r1), well_conditioned(rng, r2)
+        b, c = rng.uniform(-10, 10, r1), rng.uniform(-10, 10, r2)
+        moved = cca(C1 @ A + b, C2 @ B + c).correlations
+        np.testing.assert_allclose(moved, base, atol=1e-9)

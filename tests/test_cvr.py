@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tfcca import (
+    NumericalError,
     ValidationError,
     cca,
     concordance_index,
@@ -32,6 +33,18 @@ class TestCvrFit:
         V2 = (C2 - C2.mean(axis=0)) @ fit.weights_2
         got = [np.corrcoef(V1[:, j], V2[:, j])[0, 1] for j in range(d)]
         np.testing.assert_allclose(got, ref, atol=1e-3)
+
+    def test_eta_one_reproduces_cca_correlations(self):
+        # the descent starts at the canonical solution, which is already a
+        # fixed point at eta = 1
+        rng = np.random.default_rng(0)
+        C1, C2 = correlated_views(rng)
+        d = 2
+        fit = cvr_fit(C1, C2, rng.standard_normal(80), d, eta=1.0)
+        V1 = (C1 - fit.col_means_1) @ fit.weights_1
+        V2 = (C2 - fit.col_means_2) @ fit.weights_2
+        got = [np.corrcoef(V1[:, j], V2[:, j])[0, 1] for j in range(d)]
+        np.testing.assert_allclose(got, cca(C1, C2).correlations[:d], atol=1e-10)
 
     def test_eta_zero_regression_endpoint(self):
         # at eta = 0 the returned (alpha, beta) are exactly the least squares
@@ -101,6 +114,23 @@ class TestCvrFit:
         C1[:, 0] = 2.5  # zero variance after centering
         with pytest.raises(ValidationError):
             cvr_fit(C1, C2, rng.standard_normal(80), 2, eta=0.5)
+
+    def test_two_rows_rejected(self):
+        # one column per view keeps both R factors full rank, so only the
+        # row count can reject this input
+        C1, C2 = np.array([[0.0], [1.0]]), np.array([[1.0], [3.0]])
+        with pytest.raises(ValidationError):
+            cvr_fit(C1, C2, np.array([0.0, 1.0]), 1, eta=0.5)
+
+    def test_ill_conditioned_view_rejected(self):
+        # R condition about 9.8e10: above the 1e10 limit, yet no diagonal
+        # entry of R is small enough to count as rank-deficient
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal(60), rng.standard_normal(60)
+        C1 = np.column_stack([a, a + 1e-11 * b, rng.standard_normal(60)])
+        C2 = rng.standard_normal((60, 3))
+        with pytest.raises(NumericalError):
+            cvr_fit(C1, C2, rng.standard_normal(60), 2, eta=0.5)
 
 
 class TestCrossValidate:

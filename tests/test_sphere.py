@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfcca import (
@@ -18,7 +18,7 @@ from tfcca import (
     parallel_transport,
 )
 from tfcca.numerics import trapezoid_weights
-from tfcca.sphere import _ip_rows, _log_rows, _transport_rows, tangent_at
+from tfcca.sphere import ANTIPODE_MARGIN, _ip_rows, _log_rows, _transport_rows, tangent_at
 
 N = 301
 GRID = Grid(N)
@@ -223,9 +223,27 @@ def batch_on_sphere(draw):
     return base, rows, trapezoid_weights(n_points)
 
 
+def batch_at_distances(distances):
+    """A batch_on_sphere value built by hand: 101-point scalar grid, one row
+    per geodesic distance from the base (seed 9 puts the base where an
+    arccos log map splits batched and one-row results)."""
+    n_points = 101
+    grid = Grid(n_points)
+    rng = np.random.default_rng(9)
+    base = SpherePoint(DiscreteFunction(grid, 1.0 + 0.5 * rng.standard_normal(n_points)))
+    rows = []
+    for s in distances:
+        v = tangent_at(base, rng.standard_normal(n_points))
+        rows.append(exp_map(base, TangentVector(base, v.v * (s / v.length))))
+    return base, rows, trapezoid_weights(n_points)
+
+
 class TestBatchedMaps:
     @settings(max_examples=60, deadline=None)
     @given(batch_on_sphere())
+    # a row 1e-9 from the base, below the ~1.5e-8 that arccos of the inner
+    # product can resolve; random draws land there only rarely
+    @example(batch_at_distances((1e-9, 1.0, 2.0)))
     def test_log_rows_match_log_map(self, batch):
         base, points, w = batch
         X = np.stack([p.f.values for p in points])
@@ -252,3 +270,22 @@ class TestBatchedMaps:
             [_ip_rows(V, row, w) for row in V],
             atol=1e-8,
         )
+
+
+class TestRoundTripNearBase:
+    # lengths from 1e-12 to just inside the antipode margin, where log_map
+    # raises by design
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.floats(-12.0, np.log10(np.pi - ANTIPODE_MARGIN - 1e-9)))
+    @example(0, -12.0)
+    @example(0, np.log10(np.pi - ANTIPODE_MARGIN - 1e-9))
+    def test_log_exp_round_trip(self, seed, log_length):
+        L = 10.0 ** log_length
+        rng = np.random.default_rng(seed)
+        grid = Grid(101)
+        base = SpherePoint(DiscreteFunction(grid, 1.0 + 0.5 * rng.standard_normal(101)))
+        u = tangent_at(base, rng.standard_normal(101))
+        v = TangentVector(base, u.v * (L / u.length))
+        back = log_map(base, exp_map(base, v))
+        assert np.abs(back.v.values - v.v.values).max() <= 1e-6 * L + 1e-15
