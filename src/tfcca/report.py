@@ -23,6 +23,8 @@ ANALYSIS_COMMANDS = ("pdf-cca", "shape-cca", "cross-cca")
 def jsonable(obj):
     """Recursively convert numpy containers/scalars to JSON-native types."""
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":
+            return obj.tolist()  # already nested lists of Python scalars
         return [jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (np.floating,)):
         return float(obj)

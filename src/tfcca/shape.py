@@ -9,7 +9,10 @@ decreasing, and the shape distance is the arc length between registered
 representatives.
 
 The DP core is vectorized across curves and seed offsets so that Karcher
-mean iterations over large samples stay affordable.
+mean iterations over large samples stay affordable: every seed reads its
+segment costs through a window view of one column-wrapped copy of each cost
+table, and each lattice row keeps a running minimum over the slopes instead
+of materializing and reducing a per-slope candidate array.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, ValidationError
 from .numerics import (
@@ -43,6 +47,8 @@ DP_WINDOW = 2
 SLOPES = ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1),
           (2, 3), (3, 2), (3, 4), (4, 3))
 _BIG = 1e30
+# curves per DP pass: bounds the (n, DP_CHUNK, S, n) row and choice arrays
+DP_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -349,64 +355,62 @@ def _segment_cost_tables(q1_vals, q2_chunk, nq1):
     return tables
 
 
-def _dp_align_batch(
-    q1_vals: np.ndarray,
-    q2_stack: np.ndarray,
-    offsets: np.ndarray,
-    chunk: int = 16,
-):
+def _dp_align_batch(q1_vals: np.ndarray, q2_stack: np.ndarray, offsets: np.ndarray):
     """Best monotone lattice warp of each q2 onto q1 over cyclic seeds.
 
     q1_vals: (n, 2); q2_stack: (B, n, 2); offsets: (S,) integer grid offsets
     shared by the whole batch. Returns (gammas (B, n) including the seed
     offset, costs (B,)).
+
+    Seed sigma reads cost[b, a, (j + offsets[sigma]) mod m] at column j
+    through a window view of one column-wrapped copy of each table (the view
+    itself for consecutive offsets, a copy for spread ones). Each lattice
+    row keeps a running minimum over SLOPES in order and takes a candidate,
+    and its slope, only when strictly smaller: ties keep the first slope,
+    and unreachable nodes keep _BIG and choice -1.
     """
     B, n, _ = q2_stack.shape
     m = n - 1
     h = 1.0 / m
     offsets = np.asarray(offsets, dtype=int)
     S = offsets.size
-    n_slopes = len(SLOPES)
+    lo = int(offsets.min())
+    span = int(offsets.max()) - lo
+    wrap_cols = (lo + np.arange(span + n)) % m
+    seeds = offsets - lo
+    contiguous = np.array_equal(seeds, np.arange(span + 1))
 
     gammas = np.empty((B, n))
     costs = np.empty(B)
     nq1 = (q1_vals * q1_vals).sum(axis=1)  # (n,)
     arange_n = np.arange(n)
-    col_idx = [(arange_n + off) % m for off in offsets]
 
-    for b0 in range(0, B, chunk):
-        b1 = min(b0 + chunk, B)
+    for b0 in range(0, B, DP_CHUNK):
+        b1 = min(b0 + DP_CHUNK, B)
         Bc = b1 - b0
-        tables = _segment_cost_tables(q1_vals, q2_stack[b0:b1], nq1)
+        # seeded[si][b, a, sig, j] = cost[b, a, (j + offsets[sig]) mod m]
+        seeded = []
+        for tab in _segment_cost_tables(q1_vals, q2_stack[b0:b1], nq1):
+            win = sliding_window_view(tab[:, :, wrap_cols], n, axis=2)
+            seeded.append(win if contiguous else win[:, :, seeds])
 
-        # re-index each table into seed-rolled layout: seeded[b, sig, a, j']
-        # = cost[b, a, (j' + offset_sig) mod m], so the DP row loop only
-        # touches contiguous slices
-        seeded = [
-            np.stack([tab[:, :, ci] for ci in col_idx], axis=1) for tab in tables
-        ]
-
-        rows = [np.full((Bc, S, n), _BIG, dtype=np.float32) for _ in range(n)]
-        rows[0][:, :, 0] = 0.0
+        rows = np.full((n, Bc, S, n), _BIG, dtype=np.float32)
+        rows[0, :, :, 0] = 0.0
         choice = np.full((n, Bc, S, n), -1, dtype=np.int8)
-        cand = np.empty((n_slopes, Bc, S, n), dtype=np.float32)
+        cand = np.empty((Bc, S, n), dtype=np.float32)
+        less = np.empty((Bc, S, n), dtype=bool)
         for i in range(1, n):
-            cand.fill(_BIG)
             for si, (p, s) in enumerate(SLOPES):
                 if p > i:
                     continue
-                np.add(
-                    rows[i - p][:, :, : n - s],
-                    seeded[si][:, :, i - p, : n - s],
-                    out=cand[si, :, :, s:],
-                )
-            best = cand.argmin(axis=0)
-            rows[i] = cand.min(axis=0)
-            choice[i] = best.astype(np.int8)
-            # unreachable nodes keep _BIG but argmin may have tagged them
-            choice[i][rows[i] >= _BIG / 2] = -1
+                c, lt, row = cand[:, :, s:], less[:, :, s:], rows[i, :, :, s:]
+                np.add(rows[i - p, :, :, : n - s], seeded[si][:, i - p, :, : n - s],
+                       out=c)
+                np.less(c, row, out=lt)
+                np.copyto(row, c, where=lt)
+                np.copyto(choice[i, :, :, s:], np.int8(si), where=lt)
 
-        end = rows[n - 1][:, :, n - 1]  # (Bc, S)
+        end = rows[n - 1, :, :, n - 1]  # (Bc, S)
         sbest = end.argmin(axis=1)
         for b in range(Bc):
             sb = int(sbest[b])

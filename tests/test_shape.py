@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfcca import (
     ConvergenceError,
@@ -21,13 +23,19 @@ from tfcca import (
 )
 from tfcca.fpca import fit_fpca
 from tfcca.shape import (
+    _BIG,
     REGISTRATION_ROUNDS,
     REGISTRATION_RTOL,
+    SLOPES,
     Srvf,
+    _aligned_distance,
+    _dp_align_batch,
+    _segment_cost_tables,
     closure_residual,
     curve_from_points,
     register_batch,
 )
+from tfcca.simgen import CurveSimSpec, gen_curve_group
 from tfcca.sphere import SpherePoint
 
 G = Grid(200)
@@ -222,6 +230,57 @@ class TestOptimalWarp:
         assert warp.values[-1] - warp.values[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def reference_dp(q1_vals, q2_stack, offsets):
+    """Cell-by-cell DP over the float32 segment costs of
+    _segment_cost_tables: slopes tried in SLOPES order with a strict `<`,
+    the first seed kept on ties, and the warp built as in _dp_align_batch."""
+    n = q1_vals.shape[0]
+    m = n - 1
+    h = 1.0 / m
+    tables = _segment_cost_tables(q1_vals, q2_stack, (q1_vals * q1_vals).sum(axis=1))
+    gammas, costs = [], []
+    for b in range(q2_stack.shape[0]):
+        best = None
+        for off in offsets:
+            D = np.full((n, n), _BIG, dtype=np.float32)
+            D[0, 0] = 0.0
+            arg = np.full((n, n), -1)
+            for i in range(1, n):
+                for j in range(n):
+                    for si, (p, s) in enumerate(SLOPES):
+                        if p <= i and s <= j:
+                            seg = tables[si][b, i - p, (j - s + off) % m]
+                            c = D[i - p, j - s] + seg  # float32 + float32
+                            if c < D[i, j]:
+                                D[i, j], arg[i, j] = c, si
+            if best is None or D[m, m] < best[0]:
+                best = (D[m, m], int(off), arg)
+        cost, off, arg = best
+        i = j = m
+        path = [(i, j)]
+        while i > 0:
+            p, s = SLOPES[arg[i, j]]
+            i, j = i - p, j - s
+            path.append((i, j))
+        inodes, jnodes = zip(*reversed(path))
+        gammas.append(np.interp(np.arange(n), inodes, jnodes) * h + off * h)
+        costs.append(float(cost))
+    return np.array(gammas), np.array(costs)
+
+
+class TestDpReference:
+    @pytest.mark.parametrize("offsets", [np.arange(-2, 3), np.array([0, 5, 11, 17])],
+                             ids=["window", "spread"])
+    def test_batch_dp_equals_per_cell_reference(self, offsets):
+        spec = CurveSimSpec("high", 3, Grid(25), rng_seed=7)
+        q1 = srvf(gen_curve_group(spec, 1)[0][0]).q.f.values
+        q2 = np.stack([srvf(c).q.f.values for c in gen_curve_group(spec, 2)[0]])
+        gammas, costs = _dp_align_batch(q1, q2, offsets)
+        ref_gammas, ref_costs = reference_dp(q1, q2, offsets)
+        np.testing.assert_array_equal(costs, ref_costs)
+        np.testing.assert_array_equal(gammas, ref_gammas)
+
+
 class TestRegister:
     def test_register_self_identity(self):
         q = srvf(bumpy_curve([np.pi / 2, 2.5]))
@@ -321,6 +380,27 @@ class TestShapeDistance:
         d = shape_distance(q1, q2)
         assert d > 0.1
         assert d == pytest.approx(GOLDEN_CIRCLE_VS_THREE_BUMP, abs=1e-6)
+
+
+class TestShapeDistanceInvariance:
+    # the distance of q1 to the second curve registered onto it must not see
+    # a rotation or a cyclic start-point shift of that curve's samples;
+    # shape_distance also takes the reverse direction, where the shifted curve
+    # is the DP template and its start sample is pinned to a lattice node, so
+    # only this direction is exact
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4),
+           st.floats(10.0, 40.0), st.floats(0.0, 2 * np.pi), st.integers(0, 58))
+    def test_rotation_and_cyclic_shift_leave_distance(self, centers, kappa,
+                                                      angle, shift):
+        grid = Grid(60)
+        c1 = bumpy_curve(centers[:2], kappa=kappa, grid=grid)
+        c2 = bumpy_curve(centers[2:], kappa=20.0, grid=grid)
+        moved = np.roll(c2.beta.values[:-1] @ rotation(angle).T, -shift, axis=0)
+        c2_moved = closed_curve(np.vstack([moved, moved[:1]]), grid)
+        q1 = srvf(c1)
+        d = _aligned_distance(q1, srvf(c2))
+        assert abs(d - _aligned_distance(q1, srvf(c2_moved))) <= 1e-9
 
 
 # frozen output of the deterministic registration on this fixed input pair
