@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -388,6 +389,13 @@ def cmd_cvr(args):
         split=args.splits, repeats=args.repeats, rng_seed=args.seed,
     )
     final = cvr_fit(result.c1, result.c2, y, args.d, trace.chosen_eta)
+    unconverged = details["unconverged_fits"]
+    if unconverged or not final.converged:
+        warnings.warn(
+            f"cvr: {unconverged} of {len(eta_grid) * args.repeats} cross-validation "
+            f"fits did not converge, final fit converged: {final.converged} "
+            "(CVR_MAX_ITER sweeps ran out before the objective settled)"
+        )
     risk = -cvr_predict(final, result.c1.rows, result.c2.rows)
     report = {
         "schema": "tfcca-report-v1",
@@ -402,6 +410,7 @@ def cmd_cvr(args):
             "repeat_eta": details["repeat_eta"],
             "repeat_mse": details["repeat_mse"],
             "repeat_cindex": details["repeat_cindex"],
+            "unconverged_fits": unconverged,
         },
         # Table-style aggregate: mean (sd) over repeated held-out splits
         "aggregates": {

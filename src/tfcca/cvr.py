@@ -10,6 +10,24 @@ regression parameters are refit by least squares on the stacked variates.
 Every block update is an exact minimizer, so the objective is nonincreasing.
 The descent starts at classical CCA, read off the canonical SVD of the two
 views' own QR factors, so no separate CCA runs per fit.
+
+The descent works on sufficient statistics, never on n-length arrays. With
+the centered views factored as Q1 R1 and Q2 R2, every variate matrix it
+visits is V_k = Q_k Z_k for an r_k x d matrix Z_k, and the training rows
+enter only through M = Q1^T Q2, g_k = Q_k^T y, sum(y) and y^T y. Three
+identities make each sweep exact algebra on r x d matrices:
+
+- Q1^T V2 = M Z2 and Q2^T V1 = M^T Z1, the Procrustes targets;
+- V_k^T V_k = Z_k^T Z_k, the Gram blocks of the least-squares fit;
+- 1^T Q_k = 0 after centering, so in the (d+1) x (d+1) normal equations the
+  intercept decouples to mean(y), and the objective has a closed form.
+
+One private solver, _descend, runs the descent for a stack of such problems
+on a leading axis; each sweep updates only the problems still active, that
+is, not yet converged (the pattern of shape.register_batch). cvr_fit is a
+stack of one. cvr_cross_validate centers and factors each split's training
+rows once and stacks every (split, eta) problem, so its cost is one QR pair
+per split plus a descent whose size does not depend on n.
 """
 
 from __future__ import annotations
@@ -59,40 +77,14 @@ def _qr_checked(X: np.ndarray, name: str):
     return Q, R
 
 
-def _polar(M: np.ndarray) -> np.ndarray:
-    U, _, Vt = np.linalg.svd(M, full_matrices=False)
-    return U @ Vt
-
-
-def _ols(V1: np.ndarray, V2: np.ndarray, y: np.ndarray):
-    n, d = V1.shape
-    design = np.empty((2 * n, d + 1))
-    design[:, 0] = 1.0
-    design[:n, 1:] = V1
-    design[n:, 1:] = V2
-    target = np.concatenate([y, y])
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return float(coef[0]), coef[1:]
-
-
-def cvr_fit(C1, C2, y, d: int, eta: float) -> CvrResult:
-    """Fit canonical variate regression for a fixed eta in [0, 1].
-
-    Both coefficient matrices are centered internally (the intercept absorbs
-    the means) and the orthonormality constraint W^T C^T C W = I_d applies to
-    the centered matrices. The descent starts at the classical CCA solution,
-    the leading d singular vectors of Q1^T Q2 from the centered matrices' own
-    QR factors, and runs until the objective stops falling (CVR_TOL, at most
-    CVR_MAX_ITER sweeps). At eta = 1 the solution reduces to classical CCA;
-    at eta = 0 it is least-squares regression on constrained variates.
-    """
-    X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
-    y = np.asarray(y, dtype=float)
+def _check_inputs(X1, X2, y, d: int, etas):
+    """The checks a fit makes before any work, in the order it makes them."""
     n = X1.shape[0]
     if X2.shape[0] != n or y.shape != (n,):
         raise ValidationError("C1, C2 and y must have aligned rows")
-    if not (0.0 <= eta <= 1.0):
-        raise ValidationError(f"eta must lie in [0, 1], got {eta}")
+    for eta in etas:
+        if not (0.0 <= eta <= 1.0):
+            raise ValidationError(f"eta must lie in [0, 1], got {eta}")
     if not np.all(np.isfinite(y)):
         raise ValidationError("y contains non-finite values")
     if d < 1 or d > min(X1.shape[1], X2.shape[1]):
@@ -100,64 +92,138 @@ def cvr_fit(C1, C2, y, d: int, eta: float) -> CvrResult:
             f"d={d} infeasible for coefficient ranks {X1.shape[1]}, {X2.shape[1]}"
         )
 
+
+def _statistics(X1, X2, y, d: int):
+    """Center and QR-factor both views, checking a zero-variance column
+    (ValidationError), then an ill-conditioned R (NumericalError), C1 before
+    C2 in each case. Returns (m1, m2, R1, R2, stats), where stats is what the
+    descent needs: (M, Q1^T y, Q2^T y, sum(y), y^T y, Z1, Z2), with Z1 and Z2
+    the classical CCA start, the leading d canonical singular vectors of M
+    (orthonormal variates: unit Euclidean columns, not unit variance)."""
     m1, m2 = X1.mean(axis=0), X2.mean(axis=0)
-    X1c, X2c = X1 - m1, X2 - m2
-    Q1, R1 = _qr_checked(X1c, "C1")
-    Q2, R2 = _qr_checked(X2c, "C2")
-    if n < 3:
-        raise ValidationError(f"need n >= 3 paired rows, got {n}")
+    Q1, R1 = _qr_checked(X1 - m1, "C1")
+    Q2, R2 = _qr_checked(X2 - m2, "C2")
     _check_r_factor(R1, 0.0, "C1")
     _check_r_factor(R2, 0.0, "C2")
+    M = Q1.T @ Q2
+    U, _, V = _canonical_svd(M)
+    return m1, m2, R1, R2, (M, Q1.T @ y, Q2.T @ y, y.sum(), y @ y, U[:, :d], V[:, :d])
 
-    # warm start at the classical CCA solution in orthonormal variates
-    # (unit Euclidean columns rather than unit sample variance)
-    U, _, V = _canonical_svd(Q1.T @ Q2)
-    Z1, Z2 = U[:, :d], V[:, :d]
-    V1, V2 = Q1 @ Z1, Q2 @ Z2
-    alpha, beta = _ols(V1, V2, y)
 
-    def objective(V1, V2, alpha, beta):
-        fit = 0.0
-        for V in (V1, V2):
-            resid = y - alpha - V @ beta
-            fit += float(resid @ resid)
-        gap = V1 - V2
-        return eta * float((gap * gap).sum()) + (1 - eta) * fit
+def _t(A: np.ndarray) -> np.ndarray:
+    return np.swapaxes(A, -1, -2)
 
-    trace = [objective(V1, V2, alpha, beta)]
-    converged = False
+
+def _polar(A: np.ndarray) -> np.ndarray:
+    U, _, Vt = np.linalg.svd(A, full_matrices=False)
+    return U @ Vt
+
+
+def _ols(Z1, Z2, g1, g2, y_sum, n):
+    """Least squares of [y; y] on [1, V1; 1, V2]. With 1^T V_k = 0 the normal
+    equations are block diagonal: alpha = mean(y), and beta solves the d x d
+    block (Z1^T Z1 + Z2^T Z2) beta = Z1^T g1 + Z2^T g2."""
+    gram = _t(Z1) @ Z1 + _t(Z2) @ Z2
+    rhs = _t(Z1) @ g1[..., None] + _t(Z2) @ g2[..., None]
+    return y_sum / n, np.linalg.solve(gram, rhs)[..., 0]
+
+
+def _objective(Z1, Z2, M, g1, g2, alpha, beta, y_sum, y_sq, n, eta):
+    """eta ||V1 - V2||^2 + (1 - eta) sum_k ||y - alpha - V_k beta||^2 in
+    closed form, one value per problem."""
+    gap = ((Z1 * Z1).sum(axis=(1, 2)) + (Z2 * Z2).sum(axis=(1, 2))
+           - 2.0 * (Z1 * (M @ Z2)).sum(axis=(1, 2)))
+    y_alpha_sq = y_sq - 2.0 * alpha * y_sum + n * alpha * alpha  # ||y - alpha||^2
+    fit = 0.0
+    for Z, g in ((Z1, g1), (Z2, g2)):
+        u = (Z @ beta[..., None])[..., 0]  # V_k beta = Q_k u
+        fit = fit + y_alpha_sq - 2.0 * (g * u).sum(axis=1) + (u * u).sum(axis=1)
+    return eta * gap + (1.0 - eta) * fit
+
+
+def _descend(M, g1, g2, y_sum, y_sq, Z1, Z2, n, eta):
+    """Block-coordinate descent for P stacked problems sharing n rows.
+
+    M (P, r1, r2), g1 (P, r1), g2 (P, r2), y_sum and y_sq (P,) are each
+    problem's statistics, Z1 (P, r1, d) and Z2 (P, r2, d) its start and eta
+    (P,) its trade-off (see _statistics). Each sweep updates only the active
+    problems; a problem leaves the active set once its objective falls by no
+    more than CVR_TOL relative. Problems at eta = 1 are then rotated onto
+    their canonical axes. Returns (Z1, Z2, alpha, beta, traces, converged),
+    with one objective trace list per problem.
+    """
+    P, d = Z1.shape[0], Z1.shape[2]
+    Z1, Z2 = Z1.copy(), Z2.copy()
+    alpha, beta = np.empty(P), np.empty((P, d))
+    traces = [[] for _ in range(P)]
+
+    def refit(a):
+        # least squares for problems a, then their objective onto the traces
+        alpha[a], beta[a] = _ols(Z1[a], Z2[a], g1[a], g2[a], y_sum[a], n)
+        f = _objective(Z1[a], Z2[a], M[a], g1[a], g2[a], alpha[a], beta[a],
+                       y_sum[a], y_sq[a], n, eta[a])
+        for p, v in zip(a.tolist(), f.tolist()):
+            traces[p].append(v)
+        return f
+
+    active = np.arange(P)
+    f = refit(active)
+    converged = np.zeros(P, dtype=bool)
     for _ in range(CVR_MAX_ITER):
-        ytil = (y - alpha)[:, None]
-        Z1 = _polar(Q1.T @ (eta * V2 + (1 - eta) * ytil * beta[None, :]))
-        V1 = Q1 @ Z1
-        Z2 = _polar(Q2.T @ (eta * V1 + (1 - eta) * ytil * beta[None, :]))
-        V2 = Q2 @ Z2
-        alpha, beta = _ols(V1, V2, y)
-        trace.append(objective(V1, V2, alpha, beta))
-        if abs(trace[-2] - trace[-1]) <= CVR_TOL * max(1.0, abs(trace[-2])):
-            converged = True
+        if active.size == 0:
             break
+        a = active
+        e = eta[a, None, None]
+        reg = (1.0 - e) * beta[a, None, :]
+        Z1[a] = _polar(e * (M[a] @ Z2[a]) + g1[a, :, None] * reg)
+        Z2[a] = _polar(e * (_t(M[a]) @ Z1[a]) + g2[a, :, None] * reg)
+        prev, f[a] = f[a], refit(a)
+        done = np.abs(prev - f[a]) <= CVR_TOL * np.maximum(1.0, np.abs(prev))
+        converged[a[done]] = True
+        active = a[~done]
 
-    if eta == 1.0:
-        # rotate the converged pair onto the canonical axes so column j of
-        # each view carries the j-th canonical correlation; this can only
-        # decrease the eta-term and the regression term has zero weight
-        U, _, Vt = np.linalg.svd(V1.T @ V2)
-        Z1, Z2 = Z1 @ U, Z2 @ Vt.T
-        V1, V2 = Q1 @ Z1, Q2 @ Z2
-        alpha, beta = _ols(V1, V2, y)
-        trace.append(objective(V1, V2, alpha, beta))
+    # rotate each eta = 1 pair onto the canonical axes so column j of each
+    # view carries the j-th canonical correlation; this can only decrease
+    # the eta-term and the regression term has zero weight
+    a = np.flatnonzero(eta == 1.0)
+    if a.size:
+        U, _, Vt = np.linalg.svd(_t(Z1[a]) @ M[a] @ Z2[a])
+        Z1[a], Z2[a] = Z1[a] @ U, Z2[a] @ _t(Vt)
+        refit(a)
+    return Z1, Z2, alpha, beta, traces, converged
 
-    W1 = np.linalg.solve(R1, Z1)
-    W2 = np.linalg.solve(R2, Z2)
+
+def cvr_fit(C1, C2, y, d: int, eta: float) -> CvrResult:
+    """Fit canonical variate regression for a fixed eta in [0, 1].
+
+    Both coefficient matrices are centered internally (the intercept absorbs
+    the means) and the orthonormality constraint W^T C^T C W = I_d applies to
+    the centered matrices. The centered matrices are QR-factored once, and
+    the descent runs on their sufficient statistics M = Q1^T Q2, Q_k^T y,
+    sum(y) and y^T y (see the module docstring) as a stack of one problem.
+    It starts at the classical CCA solution, the leading d singular vectors
+    of M, and runs until the objective stops falling (CVR_TOL, at most
+    CVR_MAX_ITER sweeps). At eta = 1 the solution reduces to classical CCA;
+    at eta = 0 it is least-squares regression on constrained variates.
+    """
+    X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
+    y = np.asarray(y, dtype=float)
+    _check_inputs(X1, X2, y, d, (eta,))
+    n = X1.shape[0]
+    if n < 3:
+        raise ValidationError(f"need n >= 3 paired rows, got {n}")
+    m1, m2, R1, R2, stats = _statistics(X1, X2, y, d)
+    Z1, Z2, alpha, beta, traces, converged = _descend(
+        *(np.asarray(s)[None] for s in stats), n, np.array([float(eta)])
+    )
     return CvrResult(
-        weights_1=W1,
-        weights_2=W2,
-        alpha=alpha,
-        beta=beta,
+        weights_1=np.linalg.solve(R1, Z1[0]),
+        weights_2=np.linalg.solve(R2, Z2[0]),
+        alpha=float(alpha[0]),
+        beta=beta[0],
         eta=eta,
-        objective_trace=tuple(trace),
-        converged=converged,
+        objective_trace=tuple(traces[0]),
+        converged=bool(converged[0]),
         col_means_1=m1,
         col_means_2=m2,
     )
@@ -192,8 +258,20 @@ def cvr_cross_validate(
     ties broken toward larger eta. The concordance index is computed on the
     held-out negated predictions (shorter survival = higher risk).
 
+    Every check cvr_fit makes runs before any descent: the row, eta, y and d
+    checks once, then split by split, in split order, the zero-variance and
+    R-condition checks on its training rows. Each split's training rows are
+    centered and QR-factored once; what is kept is its sufficient statistics
+    (M = Q1^T Q2, Q_k^T y, sum(y), y^T y), the canonical SVD start, and its
+    held-out rows centered by the training means and carried into the R^-1
+    frame, where a fit's held-out variates are (X_k - m_k) R_k^-1 Z_k. All
+    repeats x len(eta_grid) descents then run as one stack with an active
+    mask, and each repeat is scored from its own small matrices.
+
     Returns (CvTrace, details) where details carries per-repeat chosen etas,
-    MSEs, C-indices, mean/sd aggregates and held-out predictions.
+    MSEs, C-indices, mean/sd aggregates, held-out predictions, and
+    unconverged_fits: how many of the cross-validation fits reached
+    CVR_MAX_ITER sweeps without meeting CVR_TOL.
     """
     X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
     y = np.asarray(y, dtype=float)
@@ -203,31 +281,46 @@ def cvr_cross_validate(
         raise ValidationError("split must be a fraction in (0, 1)")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    if not eta_grid:
+        raise ValidationError("eta_grid must list at least one value")
     n_train = int(round(split * n))
     if n_train < 3 or n - n_train < 1:
         raise ValidationError(f"split {split} leaves too few rows (n={n})")
+    _check_inputs(X1, X2, y, d, eta_grid)
 
-    mse_matrix = np.empty((repeats, len(eta_grid)))
+    stats, held_out = [], []
+    for rep in range(repeats):
+        perm = np.random.default_rng([rng_seed, rep]).permutation(n)
+        tr, te = perm[:n_train], perm[n_train:]
+        m1, m2, R1, R2, split_stats = _statistics(X1[tr], X2[tr], y[tr], d)
+        stats.append(split_stats)
+        T1 = np.linalg.solve(R1.T, (X1[te] - m1).T).T
+        T2 = np.linalg.solve(R2.T, (X2[te] - m2).T).T
+        held_out.append((te, T1, T2))
+
+    # problem rep * E + j is split rep at eta_grid[j]
+    E = len(eta_grid)
+    Z1, Z2, alpha, beta, _, converged = _descend(
+        *(np.repeat(np.array(col), E, axis=0) for col in zip(*stats)),
+        n_train, np.tile(eta_grid, repeats),
+    )
+    u1, u2 = Z1 @ beta[..., None], Z2 @ beta[..., None]
+
+    mse_matrix = np.empty((repeats, E))
     rep_eta = np.empty(repeats)
     rep_mse = np.empty(repeats)
     rep_cindex = np.empty(repeats)
     predictions = []
-    for rep in range(repeats):
-        rng = np.random.default_rng([rng_seed, rep])
-        perm = rng.permutation(n)
-        tr, te = perm[:n_train], perm[n_train:]
-        best_eta, best_mse, best_pred = None, np.inf, None
-        for j, eta in enumerate(eta_grid):
-            fit = cvr_fit(X1[tr], X2[tr], y[tr], d, eta)
-            pred = cvr_predict(fit, X1[te], X2[te])
-            mse = float(np.mean((y[te] - pred) ** 2))
-            mse_matrix[rep, j] = mse
-            if mse < best_mse or (mse == best_mse and eta > best_eta):
-                best_eta, best_mse, best_pred = eta, mse, pred
-        rep_eta[rep] = best_eta
-        rep_mse[rep] = best_mse
-        rep_cindex[rep] = concordance_index(-best_pred, y[te])
-        predictions.append((te, best_pred))
+    for rep, (te, T1, T2) in enumerate(held_out):
+        rows = slice(rep * E, (rep + 1) * E)
+        pred = alpha[rows, None] + 0.5 * (T1 @ u1[rows] + T2 @ u2[rows])[..., 0]
+        mse = np.mean((y[te] - pred) ** 2, axis=1)
+        mse_matrix[rep] = mse
+        best = min(range(E), key=lambda j: (mse[j], -eta_grid[j]))
+        rep_eta[rep] = eta_grid[best]
+        rep_mse[rep] = mse[best]
+        rep_cindex[rep] = concordance_index(-pred[best], y[te])
+        predictions.append((te, pred[best]))
 
     mse_by_eta = mse_matrix.mean(axis=0)
     floor = mse_by_eta.min()
@@ -245,6 +338,7 @@ def cvr_cross_validate(
         "mse_sd_by_eta": tuple(
             mse_matrix.std(axis=0, ddof=1) if repeats > 1 else np.zeros(len(eta_grid))
         ),
+        "unconverged_fits": int(np.count_nonzero(~converged)),
     }
     return trace, details
 

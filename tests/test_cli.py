@@ -2,10 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
 
+import tfcca.cli
+import tfcca.cvr
 from tfcca.cli import main
 from tfcca.report import load_report, validate_report
 from tfcca.errors import ValidationError
@@ -219,6 +223,54 @@ class TestCvrCommand:
         assert 0 <= rep["aggregates"]["cindex_mean"] <= 1
         assert rep["cross_validation"]["chosen_eta"] in (0.0, 0.5, 1.0)
 
+    @staticmethod
+    def _cvr_argv(data, tmp_path):
+        resp = tmp_path / "resp.csv"
+        resp.write_text("id,months\n" + "".join(
+            f"s{i:04d},{10 + 3 * i % 7}\n" for i in range(14)))
+        return ["cvr", "--input-a", str(data / "group_a.csv"),
+                "--input-b", str(data / "group_b.csv"), "--response", str(resp),
+                "--d", "1", "--rank", "2", "--grid", "300", "--repeats", "20",
+                "--out", str(tmp_path / "cvr.json")]
+
+    @pytest.mark.parametrize("max_iter", [None, 1])
+    def test_unconverged_fits_warned_and_reported(self, max_iter, pdf_dataset,
+                                                  tmp_path, monkeypatch):
+        if max_iter is not None:
+            monkeypatch.setattr(tfcca.cvr, "CVR_MAX_ITER", max_iter)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(self._cvr_argv(pdf_dataset, tmp_path)) == 0
+        count = load_report(str(tmp_path / "cvr.json"))["cross_validation"][
+            "unconverged_fits"]
+        messages = [str(w.message) for w in caught if "did not converge" in str(w.message)]
+        if max_iter is None:
+            assert count == 0 and messages == []
+        else:
+            assert count > 0 and len(messages) == 1
+            assert messages[0].startswith(f"cvr: {count} of 220 ")
+
+    @pytest.mark.parametrize("case,code,reason", [
+        ("rank-deficient split", 2, "error: validation: C1 is rank-deficient"),
+        ("ill-conditioned view", 3, "error: numerical: C1 is ill-conditioned"),
+    ], ids=["rank-deficient split", "ill-conditioned view"])
+    def test_split_checks_exit_codes(self, case, code, reason, pdf_dataset,
+                                     tmp_path, monkeypatch, capsys):
+        # the tangent coefficients are replaced, so the cross-validation's
+        # checks see a view no density input could be relied on to produce
+        rng = np.random.default_rng(3)
+        C1, C2 = rng.standard_normal((14, 3)), rng.standard_normal((14, 3))
+        if case == "rank-deficient split":
+            C1[:, 0] = 2.5  # constant on the training rows of any split
+            C1[7, 0] = 3.0  # that holds row 7 out
+        else:
+            C1[:, 1] = C1[:, 0] + 1e-11 * C1[:, 1]
+        monkeypatch.setattr(tfcca.cli, "tangent_mode_pipeline",
+                            lambda *a, **k: types.SimpleNamespace(c1=C1, c2=C2))
+        assert run_cli(self._cvr_argv(pdf_dataset, tmp_path)) == code
+        err = capsys.readouterr().err
+        assert err.startswith(reason) and err.count("\n") == 1, err
+
 
 class TestDeterminism:
     def test_repeated_runs_bitwise_identical(self, pdf_dataset, tmp_path):
@@ -256,6 +308,39 @@ class TestDeterminism:
                  "--input-a", str(sim / "group_a.csv"),
                  "--input-b", str(sim / "group_b.csv"),
                  "--rank", "2", "--grid", "400", "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_cvr_across_thread_settings_subprocess(self, tmp_path):
+        # the stacked cross-validation descent (batched svd, solve and
+        # matmul) gives the same report bytes whatever BLAS threads the
+        # caller exports: unset, 1 and 4
+        sim = tmp_path / "sim"
+        assert run_cli([
+            "simulate", "pdf", "--groups", "1,2", "--n", "40", "--seed", "7",
+            "--grid", "400", "--out-dir", str(sim),
+        ]) == 0
+        resp = tmp_path / "resp.csv"
+        rng = np.random.default_rng(2)
+        resp.write_text("id,months\n" + "".join(
+            f"s{i:04d},{v!r}\n" for i, v in enumerate(rng.uniform(5, 60, 40).tolist())))
+        blobs = []
+        for threads in (None, "1", "4"):
+            out = tmp_path / f"cvr_t{threads}.json"
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(var, None)
+                if threads is not None:
+                    env[var] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "tfcca", "cvr",
+                 "--input-a", str(sim / "group_a.csv"),
+                 "--input-b", str(sim / "group_b.csv"),
+                 "--response", str(resp), "--log-response", "--d", "2",
+                 "--rank", "3", "--grid", "400", "--out", str(out)],
                 env=env, capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr

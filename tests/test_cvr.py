@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from tfcca.cvr import CVR_MAX_ITER, CVR_TOL
 from tfcca import (
     NumericalError,
     ValidationError,
@@ -20,6 +23,63 @@ def correlated_views(rng, n=80, r=4, shared=2, noise=0.3):
     C2 = np.column_stack([z + noise * rng.standard_normal((n, shared)),
                           rng.standard_normal((n, r - shared))])
     return C1 @ rng.standard_normal((r, r)), C2 @ rng.standard_normal((r, r))
+
+
+def polar(A):
+    U, _, Vt = np.linalg.svd(A, full_matrices=False)
+    return U @ Vt
+
+
+def reference_cross_validate(C1, C2, y, d, eta_grid, split, repeats, rng_seed):
+    """Per split and eta, the descent on the n-length variates, refitting the
+    regression by lstsq; returns (mse matrix, repeat etas, repeat C-indices)."""
+    n = len(y)
+    n_train = int(round(split * n))
+    mse = np.empty((repeats, len(eta_grid)))
+    rep_eta, rep_cindex = [], []
+    for rep in range(repeats):
+        perm = np.random.default_rng([rng_seed, rep]).permutation(n)
+        tr, te = perm[:n_train], perm[n_train:]
+        m1, m2, yt = C1[tr].mean(axis=0), C2[tr].mean(axis=0), y[tr]
+        (Q1, R1), (Q2, R2) = np.linalg.qr(C1[tr] - m1), np.linalg.qr(C2[tr] - m2)
+
+        def ols(V1, V2):
+            design = np.column_stack([np.ones(2 * n_train), np.vstack([V1, V2])])
+            coef = np.linalg.lstsq(design, np.concatenate([yt, yt]), rcond=None)[0]
+            return coef[0], coef[1:]
+
+        def objective(V1, V2, a, b, eta):
+            fit = sum(np.sum((yt - a - V @ b) ** 2) for V in (V1, V2))
+            return eta * np.sum((V1 - V2) ** 2) + (1 - eta) * fit
+
+        best = (None, np.inf, None)
+        for j, eta in enumerate(eta_grid):
+            U, _, Vt = np.linalg.svd(Q1.T @ Q2)
+            Z1, Z2 = U[:, :d], Vt.T[:, :d]
+            V1, V2 = Q1 @ Z1, Q2 @ Z2
+            a, b = ols(V1, V2)
+            trace = [objective(V1, V2, a, b, eta)]
+            for _ in range(CVR_MAX_ITER):
+                Z1 = polar(Q1.T @ (eta * V2 + (1 - eta) * np.outer(yt - a, b)))
+                V1 = Q1 @ Z1
+                Z2 = polar(Q2.T @ (eta * V1 + (1 - eta) * np.outer(yt - a, b)))
+                V2 = Q2 @ Z2
+                a, b = ols(V1, V2)
+                trace.append(objective(V1, V2, a, b, eta))
+                if abs(trace[-2] - trace[-1]) <= CVR_TOL * max(1.0, abs(trace[-2])):
+                    break
+            if eta == 1.0:
+                U, _, Vt = np.linalg.svd(V1.T @ V2)
+                Z1, Z2 = Z1 @ U, Z2 @ Vt.T
+                a, b = ols(Q1 @ Z1, Q2 @ Z2)
+            pred = a + 0.5 * ((C1[te] - m1) @ np.linalg.solve(R1, Z1)
+                              + (C2[te] - m2) @ np.linalg.solve(R2, Z2)) @ b
+            mse[rep, j] = np.mean((y[te] - pred) ** 2)
+            if mse[rep, j] < best[1] or (mse[rep, j] == best[1] and eta > best[0]):
+                best = (eta, mse[rep, j], pred)
+        rep_eta.append(best[0])
+        rep_cindex.append(concordance_index(-best[2], y[te]))
+    return mse, np.array(rep_eta), np.array(rep_cindex)
 
 
 class TestCvrFit:
@@ -173,6 +233,73 @@ class TestCrossValidate:
         for eta, mse in zip(trace.eta_grid, trace.mse_by_eta):
             if mse == best:
                 assert eta <= trace.chosen_eta
+
+    @pytest.mark.parametrize("d,r1,r2,grid,repeats", [
+        (1, 3, 4, (0.0, 0.5, 1.0), 4),
+        (2, 4, 3, (0.0, 0.2, 0.6, 0.9, 1.0), 3),
+        (2, 3, 4, (1.0, 0.3, 0.0), 1),
+    ])
+    def test_matches_reference_descent(self, d, r1, r2, grid, repeats):
+        rng = np.random.default_rng([14, d, r1])
+        C1, _ = correlated_views(rng, n=50, r=r1, shared=2)
+        C2, _ = correlated_views(rng, n=50, r=r2, shared=2)
+        C2[:, :2] += C1[:, :2]
+        y = 0.5 + C1[:, 0] - C2[:, 1] + rng.standard_normal(50)
+        trace, details = cvr_cross_validate(C1, C2, y, d, grid, repeats=repeats,
+                                            rng_seed=5)
+        mse, rep_eta, rep_cindex = reference_cross_validate(
+            C1, C2, y, d, grid, 0.8, repeats, 5)
+        floor = mse.mean(axis=0).min()
+        assert trace.chosen_eta == max(
+            e for e, m in zip(grid, mse.mean(axis=0)) if m <= floor)
+        assert np.array_equal(details["repeat_eta"], rep_eta)
+        assert np.array_equal(details["repeat_cindex"], rep_cindex)
+        np.testing.assert_allclose(trace.mse_by_eta, mse.mean(axis=0), rtol=1e-9)
+        np.testing.assert_allclose(details["repeat_mse"], mse.min(axis=1), rtol=1e-9)
+
+    @pytest.mark.parametrize("case,reason", [
+        ("misaligned rows", "aligned rows"),
+        ("empty grid", "at least one value"),
+        ("eta above 1", "eta must lie in [0, 1], got 1.5"),
+        ("non-finite y", "non-finite"),
+        ("infeasible d", "d=4 infeasible"),
+    ])
+    def test_bad_arguments_rejected_up_front(self, case, reason):
+        rng = np.random.default_rng(16)
+        C1, C2 = correlated_views(rng, n=40, r=3, shared=1)
+        y, d, grid = rng.standard_normal(40), 1, (0.0, 1.0)
+        if case == "misaligned rows":
+            C2 = np.vstack([C2, C2[:1]])
+        elif case == "empty grid":
+            grid = ()
+        elif case == "eta above 1":
+            grid = (0.0, 1.5)
+        elif case == "non-finite y":
+            y[3] = np.nan
+        elif case == "infeasible d":
+            d = 4
+        with pytest.raises(ValidationError, match=re.escape(reason)):
+            cvr_cross_validate(C1, C2, y, d, grid, repeats=3, rng_seed=0)
+
+    def test_rank_deficient_split_rejected(self):
+        # column 0 of C1 is constant except on one row: every split that
+        # holds that row out leaves a zero-variance training column
+        rng = np.random.default_rng(15)
+        C1, C2 = correlated_views(rng, n=40, r=3, shared=1)
+        C1[:, 0] = 2.5
+        C1[7, 0] = 3.0
+        with pytest.raises(ValidationError, match="C1 is rank-deficient"):
+            cvr_cross_validate(C1, C2, rng.standard_normal(40), 1, (0.0, 1.0),
+                               repeats=20, rng_seed=0)
+
+    def test_ill_conditioned_view_rejected(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal(60), rng.standard_normal(60)
+        C1 = np.column_stack([a, a + 1e-11 * b, rng.standard_normal(60)])
+        C2 = rng.standard_normal((60, 3))
+        with pytest.raises(NumericalError, match="C1 is ill-conditioned"):
+            cvr_cross_validate(C1, C2, rng.standard_normal(60), 2, (0.0, 1.0),
+                               repeats=2, rng_seed=0)
 
     def test_prediction_shape(self):
         rng = np.random.default_rng(11)
