@@ -148,9 +148,8 @@ def _descend(M, g1, g2, y_sum, y_sq, Z1, Z2, n, eta):
     problem's statistics, Z1 (P, r1, d) and Z2 (P, r2, d) its start and eta
     (P,) its trade-off (see _statistics). Each sweep updates only the active
     problems; a problem leaves the active set once its objective falls by no
-    more than CVR_TOL relative. Problems at eta = 1 are then rotated onto
-    their canonical axes. Returns (Z1, Z2, alpha, beta, traces, converged),
-    with one objective trace list per problem.
+    more than CVR_TOL relative. Returns (Z1, Z2, alpha, beta, traces,
+    converged), with one objective trace list per problem.
     """
     P, d = Z1.shape[0], Z1.shape[2]
     Z1, Z2 = Z1.copy(), Z2.copy()
@@ -181,15 +180,6 @@ def _descend(M, g1, g2, y_sum, y_sq, Z1, Z2, n, eta):
         done = np.abs(prev - f[a]) <= CVR_TOL * np.maximum(1.0, np.abs(prev))
         converged[a[done]] = True
         active = a[~done]
-
-    # rotate each eta = 1 pair onto the canonical axes so column j of each
-    # view carries the j-th canonical correlation; this can only decrease
-    # the eta-term and the regression term has zero weight
-    a = np.flatnonzero(eta == 1.0)
-    if a.size:
-        U, _, Vt = np.linalg.svd(_t(Z1[a]) @ M[a] @ Z2[a])
-        Z1[a], Z2[a] = Z1[a] @ U, Z2[a] @ _t(Vt)
-        refit(a)
     return Z1, Z2, alpha, beta, traces, converged
 
 

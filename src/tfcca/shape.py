@@ -8,11 +8,14 @@ over monotone lattice paths plus a cyclic seed search) until its cost stops
 decreasing, and the shape distance is the arc length between registered
 representatives.
 
-The DP core is vectorized across curves and seed offsets so that Karcher
-mean iterations over large samples stay affordable: every seed reads its
-segment costs through a window view of one column-wrapped copy of each cost
-table, and each lattice row keeps a running minimum over the slopes instead
-of materializing and reducing a per-slope candidate array.
+The DP core is vectorized across curves and seed offsets, and it searches
+only a band of the lattice: the nodes within DP_BAND cells of the diagonal,
+held in band coordinates (row i, diagonal k = j - i). Every seed reads its
+band as a slice of one cost table, and each lattice row is one stacked
+update over all slopes. A curve whose optimal path touches the band edge is
+redone with the band doubled, up to the full lattice; optimal_warp is the
+case of a band as wide as the grid. The banded result equals the
+full-lattice DP whenever the full optimum lies inside the band.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, ValidationError
 from .numerics import (
@@ -47,8 +49,11 @@ DP_WINDOW = 2
 SLOPES = ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1),
           (2, 3), (3, 2), (3, 4), (4, 3))
 _BIG = 1e30
-# curves per DP pass: bounds the (n, DP_CHUNK, S, n) row and choice arrays
-DP_CHUNK = 16
+# half-width |j - i| of the lattice band the DP starts from; a curve whose
+# path touches the band edge is redone with the band doubled
+DP_BAND = 16
+# lattice cells (rows x band width x seeds x curves) per DP pass
+DP_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -296,49 +301,66 @@ def _rigid_scores(q1_vals: np.ndarray, q2_stack: np.ndarray):
     return scores, angles
 
 
-def _segment_cost_tables(q1_vals, q2_chunk, nq1):
-    """Per-slope local segment costs cost[b, a, u]: the trapezoidal integral
-    of |q1 - (q2 o gamma) sqrt(gamma')|^2 over the segment starting at row a
-    and circle position u, for each lattice slope.
+def _band_cost_tables(q1_vals, q2_chunk, nq1, first, width):
+    """Per-slope local segment costs in band coordinates, a (len(SLOPES), n,
+    width, Bc) float32 array: entry [si, a, c, b] is the trapezoidal integral
+    of |q1 - (q2_b o gamma) sqrt(gamma')|^2 over the slope-si segment that
+    starts at row a and circle position u = (a + first + c) mod m, that is on
+    diagonal first + c. Rows a >= n - p of slope (p, s) are left unset.
 
-    Sample positions along a (p, s) segment sit at rational offsets k*s/p
-    from u; they split into an integer column roll plus a fixed interpolation
-    fraction, so everything reduces to a handful of pre-rolled coarse
-    cross-correlation tables.
+    Sample k of a (p, s) segment sits at circle position u + k*s/p: an
+    integer column offset plus a fixed interpolation fraction. Read along the
+    diagonals of the coarse cross correlation <q1[t], q2[u]>, that offset is
+    a fixed column shift of one diagonal-sheared copy, so every term is a
+    slice of that copy, and only the `width` diagonals the band needs are
+    ever formed.
     """
     Bc, n, _ = q2_chunk.shape
     m = n - 1
     h = 1.0 / m
     q2d = q2_chunk[:, :m]
-    CG = np.einsum("td,bud->btu", q1_vals, q2d).astype(np.float32)  # (Bc, n, m)
     NQ = (q2d * q2d).sum(axis=2)  # (Bc, m)
     D2 = (q2d * q2d[:, (np.arange(m) + 1) % m]).sum(axis=2)  # <q2[u], q2[u+1]>
 
     max_roll = max((k * s) // p for p, s in SLOPES for k in range(p + 1)) + 1
     cols = [(np.arange(m) + c) % m for c in range(max_roll + 1)]
-    CGr = [CG[:, :, c] for c in cols]
     NQr = [NQ[:, c] for c in cols]
     D2r = [D2[:, c] for c in cols]
 
-    tables = []
-    tmp = np.empty((Bc, n - 1, m), dtype=np.float32)
-    for p, s in SLOPES:
+    # sheared[t, e, b] = <q1[t], q2_b[u]> at u = (t + first - back + e) mod m:
+    # sample k, at column offset of, of the segment from (a, a + first + c)
+    # reads sheared[a + k, c + of - k + back]
+    back = max(p for p, _ in SLOPES)
+    rows = np.arange(n)[:, None]
+    q2u = q2d.transpose(1, 2, 0)[
+        (rows + first - back + np.arange(width + back + max_roll)) % m]  # (n, E, 2, Bc)
+    sheared = (q1_vals[:, None, 0, None] * q2u[:, :, 0]
+               + q1_vals[:, None, 1, None] * q2u[:, :, 1]).astype(np.float32)
+    circle = (rows + first + np.arange(width)) % m  # (n, width) positions u
+
+    tables = np.empty((len(SLOPES), n, width, Bc), dtype=np.float32)
+    tmp = np.empty((n - 1, width, Bc), dtype=np.float32)
+    for si, (p, s) in enumerate(SLOPES):
         r = s / p
         sq = np.sqrt(r)
-        # the only term that varies over all of (b, a, u) is the cross
+        # the only term that varies over all of (a, c, b) is the cross
         # correlation; the q1 and q2 speed terms reduce to 1-D marginals
-        acc = np.zeros((Bc, n - p, m), dtype=np.float32)
+        acc = tables[si, : n - p]
+        acc[...] = 0.0
         a1 = np.zeros(n - p)  # sum_k w_k |q1[a+k]|^2
         a2 = np.zeros((Bc, m))  # sum_k w_k |q2 at the k-th sample|^2
+        view = tmp[: n - p]
         for k in range(p + 1):
             wk = (0.5 if k in (0, p) else 1.0) * h
             of, fr = (k * s) // p, (k * s % p) / p
             scale = -2.0 * sq * wk
-            view = tmp[:, : n - p, :]
-            np.multiply(CGr[of][:, k : k + n - p], np.float32(scale * (1 - fr)), out=view)
+            e = of - k + back
+            np.multiply(sheared[k : k + n - p, e : e + width],
+                        np.float32(scale * (1 - fr)), out=view)
             acc += view
             if fr != 0.0:
-                np.multiply(CGr[of + 1][:, k : k + n - p], np.float32(scale * fr), out=view)
+                np.multiply(sheared[k : k + n - p, e + 1 : e + 1 + width],
+                            np.float32(scale * fr), out=view)
                 acc += view
             a1 += wk * nq1[k : k + n - p]
             if fr == 0.0:
@@ -349,88 +371,142 @@ def _segment_cost_tables(q1_vals, q2_chunk, nq1):
                     + 2 * fr * (1 - fr) * D2r[of]
                     + fr * fr * NQr[of + 1]
                 )
-        acc += a1[None, :, None].astype(np.float32)
-        acc += a2[:, None, :].astype(np.float32)
-        tables.append(acc)
+        acc += a1[:, None, None].astype(np.float32)
+        acc += a2.T[circle[: n - p]].astype(np.float32)
     return tables
 
 
-def _dp_align_batch(q1_vals: np.ndarray, q2_stack: np.ndarray, offsets: np.ndarray):
+def _segment_cost_tables(q1_vals, q2_chunk, nq1):
+    """Per-slope segment costs by circle position, cost[si][b, a, u] for the
+    segment from row a and column u: the band tables over all m diagonals,
+    re-indexed. A cell-by-cell DP reads these directly."""
+    n = q2_chunk.shape[1]
+    m = n - 1
+    tables = _band_cost_tables(q1_vals, q2_chunk, nq1, 0, m)
+    rows = np.arange(n)[:, None]
+    diag = (np.arange(m) - rows) % m
+    return [tables[si, rows[: n - p], diag[: n - p]].transpose(2, 0, 1)
+            for si, (p, _) in enumerate(SLOPES)]
+
+
+def _dp_band_pass(q1_vals, q2_chunk, offsets, band):
+    """One DP pass of a chunk of curves inside the band |j - i| <= band.
+
+    Returns (gammas (Bc, n) including the seed offset, costs (Bc,), edge
+    (Bc,) bool: the winning seed's path touches |j - i| = band).
+    """
+    Bc, n, _ = q2_chunk.shape
+    m = n - 1
+    h = 1.0 / m
+    S = offsets.size
+    lo = int(offsets.min())
+    span = int(offsets.max()) - lo
+    W = 2 * band + 1  # band column kk holds k = j - i = kk - band
+    pad = max(abs(s - p) for p, s in SLOPES)  # farthest diagonal step
+    top = max(p for p, _ in SLOPES)  # rows above row 0 that stay unreachable
+    Wp = W + 2 * pad
+    # table column c holds diagonal lo - band - pad + c, so seed sig reads a
+    # predecessor in band column kk from column pad + kk + offsets[sig] - lo
+    D = Wp + span
+    tables = _band_cost_tables(q1_vals, q2_chunk, (q1_vals * q1_vals).sum(axis=1),
+                               lo - band - pad, D)
+    P = np.array([p for p, _ in SLOPES])
+    step = np.array([s - p for p, s in SLOPES])  # change of k along each slope
+    # rows[top + i, pad + kk, sig, b]: best cost to node (i, i + kk - band);
+    # the pad columns and the rows above row 0 stay _BIG
+    rows = np.full((top + n, Wp, S, Bc), _BIG, dtype=np.float32)
+    rows[top, pad + band] = 0.0
+    choice = np.full((n, W, S, Bc), -1, dtype=np.int8)
+    # flat positions of every slope's predecessor in rows (plus i * Wp) and
+    # of its segment in tables (plus the table row); a slope longer than i
+    # reads a row above row 0 and table row 0, so its candidate stays _BIG
+    pred = pad + np.arange(W) - step[:, None]  # (NS, W) predecessor columns
+    row_at = (top - P)[:, None] * Wp + pred
+    tab_at = ((np.arange(len(SLOPES)) * n * D)[:, None, None] + pred[:, :, None]
+              + (offsets - lo))
+    tab_row = np.maximum(np.arange(n)[:, None] - P, 0)[:, :, None, None] * D
+    flat_rows = rows.reshape(-1, S * Bc)
+    flat_tables = tables.reshape(-1, Bc)
+    # the first slope attaining the minimum has the largest rank over ties
+    rank = np.arange(len(SLOPES), 0, -1, dtype=np.int8)[:, None, None, None]
+    for i in range(1, n):
+        cand = np.take(flat_rows, row_at + i * Wp, axis=0).reshape(-1, W, S, Bc)
+        cand += np.take(flat_tables, tab_at + tab_row[i], axis=0)
+        best = cand.min(axis=0)
+        rows[top + i, pad : pad + W] = best
+        first = len(SLOPES) - (np.equal(cand, best) * rank).max(axis=0)
+        np.copyto(choice[i], first, where=best < _BIG)
+
+    end = rows[top + m, pad + band]  # (S, Bc)
+    sbest = end.argmin(axis=0)
+    gammas = np.empty((Bc, n))
+    costs = np.empty(Bc)
+    edge = np.zeros(Bc, dtype=bool)
+    for b in range(Bc):
+        sb = int(sbest[b])
+        path = choice[:, :, sb, b].tolist()
+        i, kk = m, band
+        inodes, knodes = [i], [kk]
+        while i > 0:
+            si = path[i][kk]
+            if si < 0:
+                raise ConvergenceError("DP backtrack hit an unreachable node")
+            p, s = SLOPES[si]
+            i -= p
+            kk -= s - p
+            inodes.append(i)
+            knodes.append(kk)
+        edge[b] = min(knodes) == 0 or max(knodes) == W - 1
+        jnodes = [i + kk - band for i, kk in zip(inodes, knodes)]
+        inodes.reverse()
+        jnodes.reverse()
+        gammas[b] = np.interp(np.arange(n), inodes, jnodes) * h + int(offsets[sb]) * h
+        costs[b] = float(end[sb, b])
+    return gammas, costs, edge & (band < m)
+
+
+def _dp_align_batch(q1_vals: np.ndarray, q2_stack: np.ndarray, offsets: np.ndarray,
+                    band: int = DP_BAND):
     """Best monotone lattice warp of each q2 onto q1 over cyclic seeds.
 
     q1_vals: (n, 2); q2_stack: (B, n, 2); offsets: (S,) integer grid offsets
     shared by the whole batch. Returns (gammas (B, n) including the seed
     offset, costs (B,)).
 
-    Seed sigma reads cost[b, a, (j + offsets[sigma]) mod m] at column j
-    through a window view of one column-wrapped copy of each table (the view
-    itself for consecutive offsets, a copy for spread ones). Each lattice
-    row keeps a running minimum over SLOPES in order and takes a candidate,
-    and its slope, only when strictly smaller: ties keep the first slope,
-    and unreachable nodes keep _BIG and choice -1.
+    Only lattice nodes (i, j) with |k| <= band, k = j - i, are evaluated, and
+    the cost tables, rows and choices are held in band coordinates (i, k).
+    Seed sigma reads cost[b, a, (j + offsets[sigma]) mod m], which is
+    diagonal k + offsets[sigma] of row a, so every seed's band is a slice at
+    a fixed offset of one table. Each lattice row takes one stacked update
+    over all SLOPES: a gather of the predecessors, an add, the minimum over
+    slopes and the first slope attaining it (the same rule as a strict `<`
+    over SLOPES in order). Unreachable nodes keep _BIG and choice -1.
+
+    The band starts at `band` cells (DP_BAND). A curve whose winning path
+    touches |k| = band is redone with the band doubled, up to the full
+    lattice at band >= m, which is what optimal_warp asks for. The result
+    equals the full-lattice DP whenever the full optimum lies inside the
+    final band. It is not guaranteed otherwise: a full optimum outside the
+    band goes unseen when the band's own best path stays off its edge.
     """
     B, n, _ = q2_stack.shape
     m = n - 1
-    h = 1.0 / m
     offsets = np.asarray(offsets, dtype=int)
-    S = offsets.size
-    lo = int(offsets.min())
-    span = int(offsets.max()) - lo
-    wrap_cols = (lo + np.arange(span + n)) % m
-    seeds = offsets - lo
-    contiguous = np.array_equal(seeds, np.arange(span + 1))
-
     gammas = np.empty((B, n))
     costs = np.empty(B)
-    nq1 = (q1_vals * q1_vals).sum(axis=1)  # (n,)
-    arange_n = np.arange(n)
-
-    for b0 in range(0, B, DP_CHUNK):
-        b1 = min(b0 + DP_CHUNK, B)
-        Bc = b1 - b0
-        # seeded[si][b, a, sig, j] = cost[b, a, (j + offsets[sig]) mod m]
-        seeded = []
-        for tab in _segment_cost_tables(q1_vals, q2_stack[b0:b1], nq1):
-            win = sliding_window_view(tab[:, :, wrap_cols], n, axis=2)
-            seeded.append(win if contiguous else win[:, :, seeds])
-
-        rows = np.full((n, Bc, S, n), _BIG, dtype=np.float32)
-        rows[0, :, :, 0] = 0.0
-        choice = np.full((n, Bc, S, n), -1, dtype=np.int8)
-        cand = np.empty((Bc, S, n), dtype=np.float32)
-        less = np.empty((Bc, S, n), dtype=bool)
-        for i in range(1, n):
-            for si, (p, s) in enumerate(SLOPES):
-                if p > i:
-                    continue
-                c, lt, row = cand[:, :, s:], less[:, :, s:], rows[i, :, :, s:]
-                np.add(rows[i - p, :, :, : n - s], seeded[si][:, i - p, :, : n - s],
-                       out=c)
-                np.less(c, row, out=lt)
-                np.copyto(row, c, where=lt)
-                np.copyto(choice[i, :, :, s:], np.int8(si), where=lt)
-
-        end = rows[n - 1, :, :, n - 1]  # (Bc, S)
-        sbest = end.argmin(axis=1)
-        for b in range(Bc):
-            sb = int(sbest[b])
-            i, j = n - 1, n - 1
-            inodes, jnodes = [i], [j]
-            while i > 0:
-                si = int(choice[i, b, sb, j])
-                if si < 0:
-                    raise ConvergenceError("DP backtrack hit an unreachable node")
-                p, s = SLOPES[si]
-                i -= p
-                j -= s
-                inodes.append(i)
-                jnodes.append(j)
-            inodes.reverse()
-            jnodes.reverse()
-            gam = np.interp(arange_n, inodes, jnodes) * h
-            off = int(offsets[sb])
-            gammas[b0 + b] = gam + off * h
-            costs[b0 + b] = float(end[b, sb])
+    todo = np.arange(B)
+    band = min(band, m)
+    while todo.size:
+        # curves per pass: bounds the (n, 2 band + 1, S, chunk) rows and choices
+        chunk = max(1, DP_CELLS // (n * (2 * band + 1) * offsets.size))
+        redo = []
+        for c0 in range(0, todo.size, chunk):
+            idx = todo[c0 : c0 + chunk]
+            gammas[idx], costs[idx], edge = _dp_band_pass(
+                q1_vals, q2_stack[idx], offsets, band)
+            redo.append(idx[edge])
+        todo = np.concatenate(redo)
+        band = min(2 * band, m)
     return gammas, costs
 
 
@@ -488,8 +564,10 @@ def optimal_warp(q1: Srvf, q2: Srvf):
 
     Dynamic programming over monotone lattice paths on the SRVFs' own grid,
     repeated exhaustively for evenly spaced cyclic start offsets of q2 (one
-    per ten grid cells). This is the plain reference that register improves
-    on. Returns (warp including the start offset, cost).
+    per ten grid cells). It is the DP of register with the band as wide as
+    the grid, so every lattice node is evaluated. This is the plain
+    reference that register improves on. Returns (warp including the start
+    offset, cost).
     """
     v1, v2 = q1.q.f.values, q2.q.f.values
     if v1.shape != v2.shape:
@@ -498,7 +576,7 @@ def optimal_warp(q1: Srvf, q2: Srvf):
     m = grid.n_points - 1
     starts = np.linspace(0.0, m, max(1, m // 10), endpoint=False)
     offs = np.unique(np.floor(starts).astype(int))
-    gam, cost = _dp_align_batch(v1, v2[None], offs)
+    gam, cost = _dp_align_batch(v1, v2[None], offs, band=m)
     return DiscreteFunction(grid, gam[0]), float(cost[0])
 
 
@@ -527,12 +605,9 @@ def _local_maxima_offsets(scores: np.ndarray, k: int) -> np.ndarray:
 def _apply_rigid(cur: np.ndarray, pick: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Cyclic integer roll and rotation of each SRVF in a batch (exact)."""
     B, n, _ = cur.shape
-    m = n - 1
-    out = np.empty_like(cur)
-    for b in range(B):
-        rolled = np.roll(cur[b, :m], -pick[b], axis=0)
-        out[b, :m] = rolled
-        out[b, m] = rolled[0]
+    # sample t of curve b reads sample (t + pick[b]) mod m, so the closing
+    # sample repeats the new first one
+    out = cur[np.arange(B)[:, None], (np.arange(n) + pick[:, None]) % (n - 1)]
     O = np.empty((B, 2, 2))
     c, s = np.cos(theta), np.sin(theta)
     O[:, 0, 0] = c

@@ -22,8 +22,11 @@ from tfcca import (
     srvf_inverse,
 )
 from tfcca.fpca import fit_fpca
+import tfcca.shape as shape_module
 from tfcca.shape import (
     _BIG,
+    DP_BAND,
+    DP_WINDOW,
     REGISTRATION_ROUNDS,
     REGISTRATION_RTOL,
     SLOPES,
@@ -279,6 +282,67 @@ class TestDpReference:
         ref_gammas, ref_costs = reference_dp(q1, q2, offsets)
         np.testing.assert_array_equal(costs, ref_costs)
         np.testing.assert_array_equal(gammas, ref_gammas)
+
+
+class TestBandedDp:
+    WINDOW = np.arange(-DP_WINDOW, DP_WINDOW + 1)
+
+    def test_grid_wider_than_band_equals_per_cell_reference(self):
+        # the reference evaluates every lattice node; here many lie outside
+        # the starting band
+        grid = Grid(49)
+        assert grid.n_points - 1 > 2 * DP_BAND + 1
+        spec = CurveSimSpec("high", 3, grid, rng_seed=7)
+        q1 = srvf(gen_curve_group(spec, 1)[0][0]).q.f.values
+        q2 = np.stack([srvf(c).q.f.values for c in gen_curve_group(spec, 2)[0]])
+        gammas, costs = _dp_align_batch(q1, q2, self.WINDOW)
+        ref_gammas, ref_costs = reference_dp(q1, q2, self.WINDOW)
+        np.testing.assert_array_equal(costs, ref_costs)
+        np.testing.assert_array_equal(gammas, ref_gammas)
+
+    def test_band_doubles_when_the_path_reaches_its_edge(self):
+        # a strong reparameterization (warp_amp 0.15 keeps it a diffeomorphism)
+        # puts the optimal path about 30 cells off the diagonal, past DP_BAND
+        m = G.n_points - 1
+        q1 = srvf(bumpy_curve(**TWO_BUMPS)).q.f.values
+        q2 = srvf(nuisanced_bumpy(warp_amp=0.15, **TWO_BUMPS)).q.f.values[None]
+        gammas, costs = _dp_align_batch(q1, q2, self.WINDOW)
+        full_gammas, full_costs = _dp_align_batch(q1, q2, self.WINDOW, band=m)
+        assert np.abs(full_gammas[0] * m - np.arange(m + 1)).max() > DP_BAND + DP_WINDOW
+        np.testing.assert_array_equal(costs, full_costs)
+        np.testing.assert_array_equal(gammas, full_gammas)
+
+    def test_banded_equals_full_lattice_on_acceptance_curves(self, monkeypatch):
+        banded = shape_module._dp_align_batch
+        curves_seen = []
+
+        def banded_and_full(q1, q2, offsets):
+            gammas, costs = banded(q1, q2, offsets)
+            full_gammas, full_costs = banded(q1, q2, offsets, band=q1.shape[0] - 1)
+            np.testing.assert_array_equal(costs, full_costs)
+            np.testing.assert_array_equal(gammas, full_gammas)
+            curves_seen.append(q2.shape[0])
+            return gammas, costs
+
+        monkeypatch.setattr(shape_module, "_dp_align_batch", banded_and_full)
+        # criterion 4: the first contour pairs of its random stream, both
+        # registration directions
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            shape = dict(centers=[np.pi / 2, rng.uniform(3.5, 4.8)],
+                         kappa=[22.0, rng.uniform(12.0, 20.0)], amp=[0.4, 0.3])
+            base = srvf(bumpy_curve(**shape))
+            moved = srvf(nuisanced_bumpy(angle=rng.uniform(0, 2 * np.pi),
+                                         warp_amp=rng.uniform(0, 0.04),
+                                         shift=rng.uniform(0, 1), **shape))
+            shape_distance(base, moved)
+        # criterion 2: curves of both regimes registered to their group's
+        # first curve, the Karcher mean's starting point
+        for regime in ("high", "weak"):
+            spec = CurveSimSpec(regime, 100, Grid(200), rng_seed=1)
+            qs = [srvf(c) for c in gen_curve_group(spec, 1)[0][:7]]
+            register_batch(qs[0], qs[1:])
+        assert sum(curves_seen) > 50
 
 
 class TestRegister:
