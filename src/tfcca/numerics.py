@@ -3,7 +3,9 @@ interpolation and warping on [0,1].
 
 All functions are sampled on the closed uniform grid t_k = k/(n-1). Closed
 (circle-domain) functions carry periodic=True and store the identified
-endpoint twice, so values[0] == values[-1] by convention.
+endpoint twice, so values[0] == values[-1] by convention. Grid points and
+trapezoid weights are built once per size, read-only; _interp_rows is
+np.interp, bit for bit, on every row of a stack.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .errors import GridMismatchError, NonMonotoneWarpError, ValidationError
 
 DEFAULT_PDF_GRID = 1000
 DEFAULT_CURVE_GRID = 200
+_WEIGHTS = {}  # trapezoid weights by grid size
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,6 +30,8 @@ class Grid:
     def __post_init__(self):
         if self.n_points < 3:
             raise ValidationError(f"grid needs >= 3 points, got {self.n_points}")
+        object.__setattr__(self, "_points", np.linspace(0.0, 1.0, self.n_points))
+        self._points.flags.writeable = False
 
     @property
     def spacing(self) -> float:
@@ -34,9 +39,7 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
-        t = np.linspace(0.0, 1.0, self.n_points)
-        t.flags.writeable = False
-        return t
+        return self._points
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.n_points == other.n_points
@@ -116,11 +119,13 @@ def _check_compatible(a: DiscreteFunction, b: DiscreteFunction):
 
 
 def trapezoid_weights(n: int) -> np.ndarray:
-    """Quadrature weights for the uniform trapezoidal rule on [0,1]."""
-    h = 1.0 / (n - 1)
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2.0
-    return w
+    """Uniform trapezoidal-rule weights on [0,1], built once per n, read-only."""
+    if n not in _WEIGHTS:
+        h = 1.0 / (n - 1)
+        w = _WEIGHTS[n] = np.full(n, h)
+        w[0] = w[-1] = h / 2.0
+        w.flags.writeable = False
+    return _WEIGHTS[n]
 
 
 def inner_product(a: DiscreteFunction, b: DiscreteFunction) -> float:
@@ -162,22 +167,32 @@ def derivative(a: DiscreteFunction) -> DiscreteFunction:
     return a.with_values(d)
 
 
-def _interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    if fp.ndim == 1:
-        return np.interp(x, xp, fp)
-    return np.stack([np.interp(x, xp, fp[:, j]) for j in range(fp.shape[1])], axis=1)
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x[r], xp, fp[r]) for every row r, bit for bit (its formula,
+    node and end values; slopes must not overflow): x (..., k), xp (n,)
+    increasing, fp (..., n) or planar (..., n, 2)."""
+    axis = x.ndim - 1
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+    x0, x1 = xp[j], xp[j + 1]
+    if fp.ndim > x.ndim:  # planar samples
+        j, x, x0, x1 = (a[..., None] for a in (j, x, x0, x1))
+    f0, f1 = np.take_along_axis(fp, j, axis), np.take_along_axis(fp, j + 1, axis)
+    out = (f1 - f0) / (x1 - x0) * (x - x0) + f0
+    np.copyto(out, f0, where=x <= x0)
+    np.copyto(out, f1, where=x >= x1)
+    return out
 
 
 def resample(a: DiscreteFunction, new_grid: Grid) -> DiscreteFunction:
     """Linearly interpolate onto new_grid (identity when grids coincide)."""
     if new_grid == a.grid:
         return a
-    vals = _interp_columns(new_grid.points, a.grid.points, a.values)
+    vals = _interp_rows(new_grid.points, a.grid.points, a.values)
     return DiscreteFunction(new_grid, vals, a.periodic)
 
 
 def evaluate(a: DiscreteFunction, x: np.ndarray) -> np.ndarray:
-    """Evaluate a at arbitrary points by linear interpolation.
+    """Evaluate a at a 1-D array of points by linear interpolation.
 
     Periodic functions accept any real x (reduced mod 1); open-domain
     functions require x in [0,1] up to rounding slack.
@@ -192,7 +207,7 @@ def evaluate(a: DiscreteFunction, x: np.ndarray) -> np.ndarray:
                 f"(range [{x.min():.3g}, {x.max():.3g}])"
             )
         x = np.clip(x, 0.0, 1.0)
-    return _interp_columns(x, a.grid.points, a.values)
+    return _interp_rows(x, a.grid.points, a.values)
 
 
 def check_warp(gamma: DiscreteFunction, periodic: bool):

@@ -16,6 +16,10 @@ update over all slopes. A curve whose optimal path touches the band edge is
 redone with the band doubled, up to the full lattice; optimal_warp is the
 case of a band as wide as the grid. The banded result equals the
 full-lattice DP whenever the full optimum lies inside the band.
+
+After the DP, registration runs on stacked (B, n[, 2]) arrays, and
+_preshape_rows is the one Newton projection: a row leaves its active set
+once closed, so it gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import ConvergenceError, ValidationError
 from .numerics import (
     DiscreteFunction,
     Grid,
+    _interp_rows,
     derivative,
     inner_product,
     norm,
@@ -36,7 +41,14 @@ from .numerics import (
 from .sphere import SpherePoint, TangentVector, exp_map, tangent_at
 from .sphere import _log_rows, _remove_component
 
+# pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
+PRESHAPE_MAX_ITER = 50
+# shape Karcher mean: see shape_karcher_mean
+KARCHER_TOL = 1e-4
+KARCHER_MAX_ITER = 30
+KARCHER_STAGNATION_RTOL = 2e-3
+KARCHER_STEP = 1.0
 # registration stops for a curve once a round lowers its cost by no more
 # than this fraction of the previous round's cost
 REGISTRATION_RTOL = 1e-3
@@ -84,20 +96,18 @@ class Curve:
 
 @dataclass(frozen=True, eq=False)
 class Srvf:
-    """Unit-norm SRVF satisfying the closure condition within closure_tol."""
+    """Unit-norm SRVF satisfying the closure condition within CLOSURE_TOL."""
 
     q: SpherePoint
-    closure_tol: float = CLOSURE_TOL
 
     def __post_init__(self):
         f = self.q.f
         if not f.is_planar or not f.periodic:
             raise ValidationError("an Srvf must be plane-valued and periodic")
         res = closure_residual(f.values, f.grid)
-        if np.abs(res).max() > self.closure_tol:
+        if np.abs(res).max() > CLOSURE_TOL:
             raise ValidationError(
-                f"closure residual {np.abs(res).max():.3g} exceeds "
-                f"{self.closure_tol:.3g}"
+                f"closure residual {np.abs(res).max():.3g} exceeds {CLOSURE_TOL:.3g}"
             )
 
     @property
@@ -129,68 +139,74 @@ class Registration:
 # closure condition
 
 def closure_residual(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Componentwise integral q_j(t) |q(t)| dt, zero for closed curves."""
-    speed = np.linalg.norm(values, axis=1)
+    """Componentwise integral q_j(t) |q(t)| dt of (..., n, 2) samples."""
+    speed = np.linalg.norm(values, axis=-1)
     w = trapezoid_weights(grid.n_points)
-    return (w * speed) @ values
+    return ((w * speed)[..., None, :] @ values)[..., 0, :]
 
 
 def _constraint_gradients(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the closure functionals: |q| e_j + q_j q / |q|."""
-    speed = np.linalg.norm(values, axis=1)
+    speed = np.linalg.norm(values, axis=-1)
     safe = np.where(speed > 1e-14, speed, 1.0)
-    unit = np.where(speed[:, None] > 1e-14, values / safe[:, None], 0.0)
-    g1 = np.stack([speed, np.zeros_like(speed)], axis=1) + values[:, :1] * unit
-    g2 = np.stack([np.zeros_like(speed), speed], axis=1) + values[:, 1:2] * unit
+    unit = np.where(speed[..., None] > 1e-14, values / safe[..., None], 0.0)
+    g1 = np.stack([speed, np.zeros_like(speed)], axis=-1) + values[..., :1] * unit
+    g2 = np.stack([np.zeros_like(speed), speed], axis=-1) + values[..., 1:] * unit
     return g1, g2
 
 
-def project_to_preshape(
-    q: SpherePoint,
-    closure_tol: float = CLOSURE_TOL,
-    max_iter: int = 50,
-    max_residual: float = 0.5,
-) -> Srvf:
-    """Newton-project a sphere point onto the closure set.
-
-    Repeatedly removes the residual along the two constraint gradients and
-    renormalizes, until the componentwise residual drops below closure_tol.
-    """
-    grid = q.f.grid
-    vals = q.f.values.copy()
+def _preshape_rows(vals, grid: Grid, max_residual: float = 0.5) -> np.ndarray:
+    """Newton-project the rows of a (B, n, 2) stack onto the closure set. Rows
+    are scaled to unit norm as SpherePoint does and must start with a residual
+    norm below max_residual; each step removes the residual along the two
+    constraint gradients and renormalizes the rows still active."""
     w = trapezoid_weights(grid.n_points)
+    nrm = np.sqrt(np.maximum((((vals * vals).sum(axis=-1))[:, None, :] @ w)[:, 0], 0.0))
+    if np.any(nrm < 1e-12):
+        raise ValidationError("cannot project the zero function to the sphere")
+    vals = vals * np.where(np.abs(nrm - 1.0) > 1e-12, 1.0 / nrm, 1.0)[:, None, None]
     res = closure_residual(vals, grid)
-    if np.linalg.norm(res) >= max_residual:
+    res_norm = np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
+    if np.any(res_norm >= max_residual):
         raise ValidationError(
-            f"closure residual {np.linalg.norm(res):.3g} outside the "
+            f"closure residual {res_norm.max():.3g} outside the "
             f"projection basin ({max_residual:.3g})"
         )
-    for _ in range(max_iter):
-        if np.abs(res).max() <= closure_tol:
-            point = SpherePoint(DiscreteFunction(grid, vals, periodic=True))
-            return Srvf(point, closure_tol)
-        g1, g2 = _constraint_gradients(vals)
-        J = np.empty((2, 2))
-        J[0, 0] = (w * (g1 * g1).sum(axis=1)).sum()
-        J[0, 1] = J[1, 0] = (w * (g1 * g2).sum(axis=1)).sum()
-        J[1, 1] = (w * (g2 * g2).sum(axis=1)).sum()
+    active = np.arange(len(vals))
+    for _ in range(PRESHAPE_MAX_ITER):
+        active = active[~(np.abs(res[active]).max(axis=1) <= CLOSURE_TOL)]
+        if active.size == 0:
+            return vals
+        v = vals[active]
+        g = np.stack(_constraint_gradients(v), axis=1)  # (A, 2, n, 2)
+        J = (w * (g[:, :, None] * g[:, None]).sum(axis=-1)).sum(axis=-1)
         try:
-            delta = np.linalg.solve(J, -res)
+            delta = np.linalg.solve(J, -res[active][..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular constraint system in projection")
-        vals = vals + delta[0] * g1 + delta[1] * g2
-        nrm = np.sqrt((w * (vals * vals).sum(axis=1)).sum())
-        vals /= nrm
-        res = closure_residual(vals, grid)
+        v = v + delta[:, 0, None, None] * g[:, 0] + delta[:, 1, None, None] * g[:, 1]
+        v /= np.sqrt((w * (v * v).sum(axis=-1)).sum(axis=-1))[:, None, None]
+        vals[active] = v
+        res[active] = closure_residual(v, grid)
     raise ConvergenceError(
-        f"pre-shape projection stalled at residual {np.abs(res).max():.3g}"
+        f"pre-shape projection stalled at residual {np.abs(res[active]).max():.3g}"
     )
+
+
+def _srvfs(vals: np.ndarray, grid: Grid) -> list:
+    """Srvf of every row of a projected (B, n, 2) stack."""
+    return [Srvf(SpherePoint(DiscreteFunction(grid, v, periodic=True))) for v in vals]
+
+
+def project_to_preshape(q: SpherePoint, max_residual: float = 0.5) -> Srvf:
+    """Newton-project a sphere point onto the closure set: _preshape_rows of one row."""
+    return _srvfs(_preshape_rows(q.f.values[None], q.grid, max_residual), q.grid)[0]
 
 
 # ---------------------------------------------------------------------------
 # SRVF transform
 
-def srvf(c: Curve, closure_tol: float = CLOSURE_TOL) -> Srvf:
+def srvf(c: Curve) -> Srvf:
     """SRVF of a closed curve: velocity over root speed, unit norm, closed."""
     vel = derivative(c.beta)
     speed = np.linalg.norm(vel.values, axis=1)
@@ -199,13 +215,13 @@ def srvf(c: Curve, closure_tol: float = CLOSURE_TOL) -> Srvf:
     root = np.sqrt(np.where(speed > 1e-14, speed, 1.0))
     qv = np.where(speed[:, None] > 1e-14, vel.values / root[:, None], 0.0)
     point = SpherePoint(DiscreteFunction(c.grid, qv, periodic=True))
-    return project_to_preshape(point, closure_tol)
+    return project_to_preshape(point)
 
 
-def srvf_inverse(q, closure_tol: float = CLOSURE_TOL) -> Curve:
+def srvf_inverse(q) -> Curve:
     """Integrate q|q| back into a centered closed curve.
 
-    Raises if the accumulated closure gap exceeds 10 * closure_tol; smaller
+    Raises if the accumulated closure gap exceeds 10 * CLOSURE_TOL; smaller
     gaps are distributed linearly so the output closes exactly.
     """
     point = q.q if isinstance(q, Srvf) else q
@@ -217,9 +233,9 @@ def srvf_inverse(q, closure_tol: float = CLOSURE_TOL) -> Curve:
     beta = np.zeros_like(vals)
     beta[1:] = np.cumsum(0.5 * h * (integrand[1:] + integrand[:-1]), axis=0)
     gap = beta[-1] - beta[0]
-    if np.linalg.norm(gap) > 10 * closure_tol:
+    if np.linalg.norm(gap) > 10 * CLOSURE_TOL:
         raise ValidationError(
-            f"closure gap {np.linalg.norm(gap):.3g} exceeds {10 * closure_tol:.3g}"
+            f"closure gap {np.linalg.norm(gap):.3g} exceeds {10 * CLOSURE_TOL:.3g}"
         )
     beta = beta - grid.points[:, None] * gap
     beta[-1] = beta[0]
@@ -514,48 +530,46 @@ _SMOOTH_WIDTHS = (3, 5, 9, 13)
 
 
 def _smoothed_warp(gamma: np.ndarray, grid: Grid, width: int) -> np.ndarray:
-    """Circular moving average of the warp's deviation from the identity.
-
-    Preserves the winding number exactly; the caller must re-check
-    monotonicity.
-    """
+    """Circular moving average of each (B, n) warp's deviation from the
+    identity. Preserves the winding number exactly; the caller must re-check
+    monotonicity. The cyclically padded rows are laid end to end for one
+    np.convolve, so every kept window, which lies inside one row, gets the
+    arithmetic of a per-row np.convolve (a sum of shifted slices does not)."""
     t = grid.points
     m = grid.n_points - 1
-    dev = (gamma - t)[:m]
-    ext = np.concatenate([dev[-width:], dev, dev[:width]])
-    sm = np.convolve(ext, np.full(width, 1.0 / width), mode="same")[
-        width : width + m
-    ]
-    return np.concatenate([sm, sm[:1]]) + t
+    dev = (gamma - t)[:, :m]
+    ext = np.concatenate([dev[:, -width:], dev, dev[:, :width]], axis=1)
+    flat = np.convolve(np.concatenate([ext.ravel(), np.zeros(width - 1)]),
+                       np.full(width, 1.0 / width), mode="valid")
+    # one output per padded sample; the window centred on padded sample
+    # width + i starts at width - width // 2 + i
+    start = width - width // 2
+    sm = flat.reshape(len(gamma), -1)[:, start : start + m]
+    return np.concatenate([sm, sm[:, :1]], axis=1) + t
 
 
 def _warp_action_vals(q_vals: np.ndarray, gamma: np.ndarray, grid: Grid) -> np.ndarray:
-    """(q, gamma) = q(gamma(t)) sqrt(gamma'(t)) for a circle warp.
+    """(q, gamma) = q(gamma(t)) sqrt(gamma'(t)) for (..., n, 2) q_vals and
+    (..., n) circle warps gamma, leading axes broadcast.
 
     gamma is unwrapped with winding one, so its derivative is periodic; the
     seam uses the wrapped central difference to keep the output's endpoints
     identified exactly.
     """
-    pos = np.mod(gamma, 1.0)
-    t = grid.points
-    warped = np.stack(
-        [np.interp(pos, t, q_vals[:, 0]), np.interp(pos, t, q_vals[:, 1])], axis=1
-    )
+    warped = _interp_rows(np.mod(gamma, 1.0), grid.points, q_vals)
     h = grid.spacing
     gd = np.empty_like(gamma)
-    gd[1:-1] = (gamma[2:] - gamma[:-2]) / (2 * h)
-    gd[0] = gd[-1] = (gamma[1] - gamma[-2] + 1.0) / (2 * h)
-    warped *= np.sqrt(np.maximum(gd, 0.0))[:, None]
-    warped[-1] = warped[0]
+    gd[..., 1:-1] = (gamma[..., 2:] - gamma[..., :-2]) / (2 * h)
+    gd[..., 0] = gd[..., -1] = (gamma[..., 1] - gamma[..., -2] + 1.0) / (2 * h)
+    warped *= np.sqrt(np.maximum(gd, 0.0))[..., None]
+    warped[..., -1, :] = warped[..., 0, :]
     return warped
 
 
 def _compose_warps(outer: np.ndarray, inner: np.ndarray, grid: Grid) -> np.ndarray:
-    """(outer o inner)(t) for unwrapped degree-1 circle warps."""
+    """(outer o inner)(t) for (B, n) unwrapped degree-1 circle warps."""
     whole = np.floor(inner)
-    frac = inner - whole
-    vals = np.interp(frac, grid.points, outer)
-    return vals + whole
+    return _interp_rows(inner - whole, grid.points, outer) + whole
 
 
 def optimal_warp(q1: Srvf, q2: Srvf):
@@ -643,14 +657,13 @@ def register_batch(
     grid = q1.q.f.grid
     n = grid.n_points
     h = grid.spacing
-    t = grid.points
     v1 = q1.q.f.values
     stack = np.stack([q.q.f.values for q in qs])
     B = stack.shape[0]
     window = np.arange(-DP_WINDOW, DP_WINDOW + 1)
 
     O_tot = np.broadcast_to(np.eye(2), (B, 2, 2)).copy()
-    gamma_tot = np.broadcast_to(t, (B, n)).copy()
+    gamma_tot = np.broadcast_to(grid.points, (B, n)).copy()
     cur = stack.copy()
     round_costs = np.empty((rounds, B))
     used = np.zeros(B, dtype=int)
@@ -684,51 +697,35 @@ def register_batch(
         round_costs[rnd, active] = cost
         used[active] = rnd + 1
 
-        gam_total_round = gam + (pick * h)[:, None]  # roll folded into the warp
-        for a, b in enumerate(active):
-            gamma_tot[b] = _compose_warps(gamma_tot[b], gam_total_round[a], grid)
-            # roll and rotation already applied; only the DP warp remains
-            cur[b] = _warp_action_vals(flat_cur[sel[a]], gam[a], grid)
+        # the roll is folded into the composed warp; cur already has the
+        # roll and rotation applied, so only the DP warp acts on it
+        gamma_tot[active] = _compose_warps(gamma_tot[active], gam + (pick * h)[:, None],
+                                           grid)
+        cur[active] = _warp_action_vals(flat_cur[sel], gam, grid)
         if rnd > 0:
             # a curve leaves once its round cost stops decreasing
             prev = round_costs[rnd - 1, active]
             active = active[prev - cost > REGISTRATION_RTOL * prev]
 
-    out = []
+    # safeguarded smoothing: the lattice slope set quantizes sqrt(gamma'), so
+    # the DP warp oscillates around the smooth optimum; each curve keeps the
+    # first of its raw warp and monotone smoothings with the lowest cost
     w = trapezoid_weights(n)
-    for b in range(B):
-        rotated = np.einsum("xy,ty->tx", O_tot[b], stack[b])
-
-        def raw_cost(gamma):
-            vals = _warp_action_vals(rotated, gamma, grid)
-            diff = v1 - vals
-            return float((w * (diff * diff).sum(axis=1)).sum()), vals
-
-        # safeguarded smoothing of the composed warp: the lattice slope set
-        # quantizes sqrt(gamma'), so the DP output oscillates around the
-        # smooth optimum; keep a smoothed version only when it helps
-        best_gamma = gamma_tot[b]
-        best_cost, best_vals = raw_cost(best_gamma)
-        for width in _SMOOTH_WIDTHS:
-            cand = _smoothed_warp(gamma_tot[b], grid, width)
-            if np.any(np.diff(cand) < 0):
-                continue
-            cost_c, vals_c = raw_cost(cand)
-            if cost_c < best_cost:
-                best_gamma, best_cost, best_vals = cand, cost_c, vals_c
-
-        point = SpherePoint(DiscreteFunction(grid, best_vals, periodic=True))
-        star = project_to_preshape(point)
-        diff = v1 - star.q.f.values
-        final_cost = float((w * (diff * diff).sum(axis=1)).sum())
-        reg = Registration(
-            rotation=O_tot[b],
-            warp=DiscreteFunction(grid, best_gamma),
-            cost=final_cost,
-            round_costs=tuple(round_costs[: used[b], b]),
-        )
-        out.append((reg, star))
-    return out
+    rotated = np.einsum("bxy,bty->btx", O_tot, stack)
+    warps = np.stack([gamma_tot] + [_smoothed_warp(gamma_tot, grid, width)
+                                    for width in _SMOOTH_WIDTHS])  # (C, B, n)
+    vals = _warp_action_vals(rotated[None], warps, grid)
+    diff = v1 - vals
+    costs = (w * (diff * diff).sum(axis=-1)).sum(axis=-1)
+    costs[1:][(np.diff(warps[1:], axis=-1) < 0).any(axis=-1)] = np.inf
+    pick = costs.argmin(axis=0)
+    stars = _preshape_rows(vals[pick, np.arange(B)], grid)
+    diff = v1 - stars
+    final_costs = (w * (diff * diff).sum(axis=-1)).sum(axis=-1)
+    regs = [Registration(O_tot[b], DiscreteFunction(grid, warps[pick[b], b]),
+                         float(final_costs[b]), tuple(round_costs[: used[b], b]))
+            for b in range(B)]
+    return list(zip(regs, _srvfs(stars, grid)))
 
 
 def register(q1: Srvf, q2: Srvf, rounds: int = REGISTRATION_ROUNDS):
@@ -802,23 +799,16 @@ def project_Pi(q, mean: Srvf):
     return out[0] if single else out
 
 
-def shape_karcher_mean(
-    qs: list,
-    tol: float = 1e-4,
-    max_iter: int = 30,
-    step: float = 1.0,
-    stagnation_rtol: float = 2e-3,
-    return_info: bool = False,
-):
+def shape_karcher_mean(qs: list, return_info: bool = False):
     """Karcher mean shape: registration + tangent averaging fixed point.
 
     Each iteration registers every curve to the current mean (one round, one
     rigid candidate), averages the constraint-projected log maps, and steps
-    along the exponential map, re-projecting to the pre-shape set. The step is halved when an update
-    would increase the registered variance, so the variance trace is
-    non-increasing by construction. Stops on a small mean tangent, an
-    iteration cap, or when the variance improves by less than
-    stagnation_rtol of its value (registration granularity limit).
+    along the exponential map, re-projecting to the pre-shape set. The step
+    is halved when an update would increase the registered variance, so the
+    variance trace is non-increasing by construction. Stops on a mean tangent
+    of at most KARCHER_TOL, after KARCHER_MAX_ITER iterations, or when the
+    variance improves by no more than KARCHER_STAGNATION_RTOL of its value.
     """
     if not qs:
         raise ValidationError("shape_karcher_mean needs at least one SRVF")
@@ -831,39 +821,35 @@ def shape_karcher_mean(
 
     def registered_variance(candidate):
         regs = register_batch(candidate, qs, rounds=1, rigid_candidates=1)
-        dists = [
-            np.arccos(np.clip(inner_product(candidate.q.f, star.q.f), -1, 1))
-            for _, star in regs
-        ]
-        return float(np.mean(np.square(dists))), regs
+        w = trapezoid_weights(candidate.grid.n_points)
+        stars = np.stack([star.q.f.values for _, star in regs])
+        ips = (((stars * candidate.q.f.values).sum(axis=-1))[:, None, :] @ w)[:, 0]
+        return float(np.mean(np.square(np.arccos(np.clip(ips, -1, 1))))), regs
 
     V, regs = registered_variance(mean)
     trace = [V]
     gnorm = np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, KARCHER_MAX_ITER + 1):
         rows = _preshape_tangents(mean, [star for _, star in regs])
         direction = tangent_at(mean.q, rows.mean(axis=0))
         gnorm = direction.length
-        if gnorm <= tol:
+        if gnorm <= KARCHER_TOL:
             converged = True
             break
-        s = step
-        cand = V_cand = regs_cand = None
-        while s >= step / 2:
+        for s in (KARCHER_STEP, KARCHER_STEP / 2):
             point = exp_map(mean.q, TangentVector(mean.q, direction.v * s))
             cand = project_to_preshape(point)
             V_cand, regs_cand = registered_variance(cand)
             if V_cand <= V + 1e-12:
                 break
-            s /= 2
-        if V_cand is None or V_cand > V + 1e-12:
+        else:
             break  # stagnated: registration noise dominates
         improvement = V - V_cand
         mean, V, regs = cand, V_cand, regs_cand
         trace.append(V)
-        if improvement <= stagnation_rtol * max(V, 1e-12):
+        if improvement <= KARCHER_STAGNATION_RTOL * max(V, 1e-12):
             converged = True
             break
     if return_info:
@@ -888,22 +874,18 @@ def shape_tangent_coordinates(curves: list) -> tuple[Srvf, list]:
     return mean, project_Pi(qs, mean)
 
 
-def shape_variate_direction(
-    mean: Srvf, basis, weights, epsilons, closure_tol: float = CLOSURE_TOL
-) -> list:
+def shape_variate_direction(mean: Srvf, basis, weights, epsilons) -> list:
     """Closed curves along a basis direction through the mean shape.
 
-    For each step size, follows the sphere exponential map, projects back to
-    the pre-shape set numerically, and integrates the SRVF into a curve.
+    Follows the sphere exponential map for each step size, projects all the
+    points to the pre-shape set at once, and integrates each SRVF.
     """
     direction = basis.direction(np.asarray(weights, dtype=float))
-    out = []
-    for eps in epsilons:
-        point = exp_map(mean.q, TangentVector(mean.q, direction.v * float(eps)))
-        # visualization may start far from the constraint set; let the
-        # Newton projection run from wherever the exponential map lands
-        closed = project_to_preshape(
-            point, closure_tol=closure_tol, max_residual=np.inf
-        )
-        out.append(srvf_inverse(closed, closure_tol))
-    return out
+    points = np.stack([
+        exp_map(mean.q, TangentVector(mean.q, direction.v * float(eps))).f.values
+        for eps in epsilons
+    ])
+    # visualization may start far from the constraint set; let the Newton
+    # projection run from wherever the exponential map lands
+    closed = _preshape_rows(points, mean.grid, max_residual=np.inf)
+    return [srvf_inverse(q) for q in _srvfs(closed, mean.grid)]

@@ -188,9 +188,10 @@ def karcher_mean(
 def _transport_rows(
     V: np.ndarray, source: SpherePoint, target: SpherePoint
 ) -> np.ndarray:
-    """Transport each row v of V along the geodesic from source to target by
-        v - (<u, v> / d^2) (u + log_target(source)),   u = log_source(target),
-    with u, log_target(source) and d computed once for all rows.
+    """Transport each row v of V along the geodesic from source p to target q by
+        v - <u, v> (tan(d/2) / d) (p + q),   u = log_p(q),
+    with u and d computed once for all rows: v - (<u, v> / d^2) (u + log_q(p))
+    without that form's O(d^2) cancellation of two logs, which fails near d = 0.
     """
     d = geodesic_distance(source, target)
     if d < 1e-12:
@@ -200,8 +201,7 @@ def _transport_rows(
     w = trapezoid_weights(target.f.grid.n_points)
     p, q = source.f.values, target.f.values
     u = _log_rows(p, q[None], w)[0]
-    u_back = _log_rows(q, p[None], w)[0]
-    V = V - _per_row(_ip_rows(V, u, w) / (d * d), V) * (u + u_back)
+    V = V - _per_row(_ip_rows(V, u, w) * (np.tan(d / 2) / d), V) * (p + q)
     return _remove_component(V, q, w)
 
 

@@ -1,6 +1,7 @@
 """The benchmark's tracer binds library functions and argument names
-(`register_batch(qs, rounds, rigid_candidates)`, ...); a rename must fail
-here, not in a benchmark run."""
+(`register_batch(qs, rounds, rigid_candidates)`, ...) and rebinds module
+attributes; a rename, or a caller that bypasses a rebound attribute, must
+fail here, not in a benchmark run."""
 
 import json
 import os
@@ -29,7 +30,13 @@ def test_tracer_records_registration_attributes(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(spans_path.read_text())["spans"]
+    names = {s["name"] for s in spans}
+    assert {"shape.srvf", "shape.shape_karcher_mean", "shape.project_Pi"} <= names
     regs = [s for s in spans if s["name"] == "shape.register_batch"]
     assert regs
     for span in regs:
         assert {"curves", "candidates", "rounds"} <= set(span["attrs"])
+    # the mean and the projection reach registration through the module
+    # attribute the tracer rebinds, so their passes are counted
+    parents = {spans[s["parent"]]["name"] for s in regs}
+    assert {"shape.shape_karcher_mean", "shape.project_Pi"} <= parents

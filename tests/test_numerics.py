@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfcca import (
     DiscreteFunction,
@@ -12,6 +14,7 @@ from tfcca import (
     norm,
     resample,
 )
+from tfcca.numerics import _interp_rows, trapezoid_weights
 
 
 def f_on(n, fn, periodic=False):
@@ -183,3 +186,55 @@ class TestValidation:
         a = f_on(10, lambda t: t)
         with pytest.raises(ValueError):
             a.values[0] = 5.0
+
+
+class TestCachedArrays:
+    def test_grid_points_built_once_and_read_only(self):
+        g = Grid(57)
+        first = g.points
+        assert g.points is first
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, np.linspace(0.0, 1.0, 57))
+        with pytest.raises(ValueError):
+            first[1] = 0.5
+
+    def test_trapezoid_weights_built_once_and_read_only(self):
+        first = trapezoid_weights(57)
+        assert trapezoid_weights(57) is first
+        assert not first.flags.writeable
+        ref = np.full(57, 1.0 / 56)
+        ref[0] = ref[-1] = 0.5 / 56
+        np.testing.assert_array_equal(first, ref)
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+
+
+class TestInterpRows:
+    # every row of the stack must give np.interp's bytes; x = 1.0 is a value
+    # warps reach, since np.mod(-1e-17, 1.0) == 1.0
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+           st.booleans())
+    @example(11, 0, 1.0, False)
+    @example(11, 0, 1.0, True)
+    @example(11, 1, 0.0, True)
+    @example(23, 2, 0.5, False)
+    def test_equals_np_interp_row_by_row(self, n, seed, at, planar):
+        rng = np.random.default_rng(seed)
+        xp = Grid(n).points
+        B = 4
+        x = rng.uniform(0.0, 1.0, (B, 2 * n + 1))
+        x[:, 0] = at
+        x[:, 1 : n + 1] = xp  # every grid node, the ends included
+        x[:, -2:] = -0.5, 1.5  # beyond either end
+        fp = rng.uniform(-10.0, 10.0, (B, n, 2) if planar else (B, n))
+        out = _interp_rows(x, xp, fp)
+        assert out.shape == x.shape + fp.shape[2:]
+        for r in range(B):
+            if planar:
+                ref = np.stack([np.interp(x[r], xp, fp[r, :, c]) for c in range(2)],
+                               axis=1)
+            else:
+                ref = np.interp(x[r], xp, fp[r])
+            assert out[r].tobytes() == ref.tobytes()
+            assert _interp_rows(x[r], xp, fp[r]).tobytes() == ref.tobytes()

@@ -33,6 +33,7 @@ from tfcca.shape import (
     Srvf,
     _aligned_distance,
     _dp_align_batch,
+    _preshape_rows,
     _segment_cost_tables,
     closure_residual,
     curve_from_points,
@@ -142,9 +143,8 @@ class TestSrvfInverse:
         # an open-curve SRVF (constant direction) badly violates closure
         vals = np.tile([1.0, 0.0], (G.n_points, 1))
         point = SpherePoint(DiscreteFunction(G, vals, periodic=True))
-        bad = Srvf(point, closure_tol=np.inf)
         with pytest.raises(ValidationError):
-            srvf_inverse(bad)
+            srvf_inverse(point)
 
 
 class TestPreshapeProjection:
@@ -177,6 +177,41 @@ class TestPreshapeProjection:
         point = SpherePoint(DiscreteFunction(G, vals, periodic=True))
         with pytest.raises(ValidationError):
             project_to_preshape(point)
+
+    def test_stack_matches_one_row_projection(self, monkeypatch):
+        # rows that take 0, 1 and several Newton steps leave the stack at
+        # different times; none may change another's result
+        q = srvf(bumpy_curve([0.3, 2.1])).q.f.values
+        rows = [q + c * np.array([1.0, 0.5]) for c in (0.0, 0.01, 0.3)]
+
+        def newton_steps(row):
+            for cap in range(1, 10):
+                monkeypatch.setattr(shape_module, "PRESHAPE_MAX_ITER", cap)
+                try:
+                    _preshape_rows(row[None], G)
+                    return cap - 1
+                except ConvergenceError:
+                    pass
+
+        steps = [newton_steps(row) for row in rows]
+        monkeypatch.undo()
+        assert steps[0] == 0 and steps[1] == 1 and steps[2] > 1
+        stacked = _preshape_rows(np.stack(rows), G)
+        for row, got in zip(rows, stacked):
+            assert got.tobytes() == _preshape_rows(row[None], G)[0].tobytes()
+            one = project_to_preshape(SpherePoint(DiscreteFunction(G, row, periodic=True)))
+            np.testing.assert_array_equal(Srvf(SpherePoint(DiscreteFunction(
+                G, got, periodic=True))).q.f.values, one.q.f.values)
+
+    def test_stack_rejects_any_row_outside_the_basin_or_zero(self):
+        q = srvf(bumpy_curve([0.3, 2.1])).q.f.values
+        outside = q + 0.5 * np.array([1.0, 0.5])
+        with pytest.raises(ValidationError, match="basin"):
+            project_to_preshape(SpherePoint(DiscreteFunction(G, outside, periodic=True)))
+        with pytest.raises(ValidationError, match="basin"):
+            _preshape_rows(np.stack([q, outside, q]), G)
+        with pytest.raises(ValidationError, match="zero function"):
+            _preshape_rows(np.stack([q, np.zeros_like(q)]), G)
 
 
 class TestOptimalRotation:

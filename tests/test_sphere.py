@@ -253,6 +253,9 @@ class TestBatchedMaps:
 
     @settings(max_examples=60, deadline=None)
     @given(batch_on_sphere(), st.integers(0, 2**32 - 1))
+    # a target 1e-11 from the source, where the difference-of-logs form of
+    # the transport lost the isometry
+    @example(batch_at_distances((1e-11, 1.0)), 0)
     def test_transport_rows_match_and_keep_inner_products(self, batch, seed):
         source, points, w = batch
         target = points[0]
