@@ -39,7 +39,7 @@ from .numerics import (
     trapezoid_weights,
 )
 from .sphere import SpherePoint, TangentVector, exp_map, tangent_at
-from .sphere import _log_rows, _remove_component
+from .sphere import _log_rows, _remove_component, _unit_factors
 
 # pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
@@ -156,15 +156,12 @@ def _constraint_gradients(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _preshape_rows(vals, grid: Grid, max_residual: float = 0.5) -> np.ndarray:
-    """Newton-project the rows of a (B, n, 2) stack onto the closure set. Rows
-    are scaled to unit norm as SpherePoint does and must start with a residual
-    norm below max_residual; each step removes the residual along the two
-    constraint gradients and renormalizes the rows still active."""
+    """Newton-project the unit-norm rows of a (B, n, 2) stack onto the closure
+    set. Rows must start with a residual norm below max_residual; each step
+    removes the residual along the two constraint gradients and renormalizes
+    the rows still active."""
     w = trapezoid_weights(grid.n_points)
-    nrm = np.sqrt(np.maximum((((vals * vals).sum(axis=-1))[:, None, :] @ w)[:, 0], 0.0))
-    if np.any(nrm < 1e-12):
-        raise ValidationError("cannot project the zero function to the sphere")
-    vals = vals * np.where(np.abs(nrm - 1.0) > 1e-12, 1.0 / nrm, 1.0)[:, None, None]
+    vals = vals.copy()
     res = closure_residual(vals, grid)
     res_norm = np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
     if np.any(res_norm >= max_residual):
@@ -198,9 +195,9 @@ def _srvfs(vals: np.ndarray, grid: Grid) -> list:
     return [Srvf(SpherePoint(DiscreteFunction(grid, v, periodic=True))) for v in vals]
 
 
-def project_to_preshape(q: SpherePoint, max_residual: float = 0.5) -> Srvf:
+def project_to_preshape(q: SpherePoint) -> Srvf:
     """Newton-project a sphere point onto the closure set: _preshape_rows of one row."""
-    return _srvfs(_preshape_rows(q.f.values[None], q.grid, max_residual), q.grid)[0]
+    return _srvfs(_preshape_rows(q.f.values[None], q.grid), q.grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +716,9 @@ def register_batch(
     costs = (w * (diff * diff).sum(axis=-1)).sum(axis=-1)
     costs[1:][(np.diff(warps[1:], axis=-1) < 0).any(axis=-1)] = np.inf
     pick = costs.argmin(axis=0)
-    stars = _preshape_rows(vals[pick, np.arange(B)], grid)
+    picked = vals[pick, np.arange(B)]
+    nrm = np.sqrt(np.maximum((((picked * picked).sum(axis=-1))[:, None, :] @ w)[:, 0], 0.0))
+    stars = _preshape_rows(picked * _unit_factors(nrm)[:, None, None], grid)
     diff = v1 - stars
     final_costs = (w * (diff * diff).sum(axis=-1)).sum(axis=-1)
     regs = [Registration(O_tot[b], DiscreteFunction(grid, warps[pick[b], b]),
@@ -756,12 +755,10 @@ def shape_distance(q1: Srvf, q2: Srvf) -> float:
 def preshape_normal_basis(mean: Srvf):
     """Orthonormal basis (phi1, phi2) of the closure-constraint directions
     inside the sphere tangent space at the mean."""
-    vals = mean.q.f.values
-    grid = mean.q.f.grid
-    g1, g2 = _constraint_gradients(vals)
+    g1, g2 = _constraint_gradients(mean.q.f.values)
 
     def fn(a):
-        return DiscreteFunction(grid, a, periodic=True)
+        return DiscreteFunction(mean.grid, a, periodic=True)
 
     base = mean.q.f
     p1 = fn(g1) - inner_product(fn(g1), base) * base
@@ -881,11 +878,11 @@ def shape_variate_direction(mean: Srvf, basis, weights, epsilons) -> list:
     points to the pre-shape set at once, and integrates each SRVF.
     """
     direction = basis.direction(np.asarray(weights, dtype=float))
-    points = np.stack([
-        exp_map(mean.q, TangentVector(mean.q, direction.v * float(eps))).f.values
-        for eps in epsilons
-    ])
+    points = [exp_map(mean.q, TangentVector(mean.q, direction.v * float(eps))).f.values
+              for eps in epsilons]
+    if not points:
+        return []
     # visualization may start far from the constraint set; let the Newton
     # projection run from wherever the exponential map lands
-    closed = _preshape_rows(points, mean.grid, max_residual=np.inf)
+    closed = _preshape_rows(np.stack(points), mean.grid, max_residual=np.inf)
     return [srvf_inverse(q) for q in _srvfs(closed, mean.grid)]

@@ -24,6 +24,13 @@ from .numerics import _check_compatible
 ANTIPODE_MARGIN = 1e-6
 
 
+def _unit_factors(norms):
+    """Factors that put functions of these L2 norms on the sphere; zero is rejected."""
+    if np.any(norms < 1e-12):
+        raise ValidationError("cannot project the zero function to the sphere")
+    return np.where(np.abs(norms - 1.0) > 1e-12, 1.0 / norms, 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class SpherePoint:
     """Unit-norm function on the sphere; renormalized on construction."""
@@ -31,11 +38,9 @@ class SpherePoint:
     f: DiscreteFunction
 
     def __post_init__(self):
-        n = norm(self.f)
-        if n < 1e-12:
-            raise ValidationError("cannot project the zero function to the sphere")
-        if abs(n - 1.0) > 1e-12:
-            object.__setattr__(self, "f", self.f * (1.0 / n))
+        factor = float(_unit_factors(norm(self.f)))
+        if factor != 1.0:
+            object.__setattr__(self, "f", self.f * factor)
 
     @property
     def grid(self):

@@ -9,6 +9,7 @@ from tfcca import (
     Grid,
     SpherePoint,
     TangentVector,
+    ValidationError,
     exp_map,
     geodesic_distance,
     inner_product,
@@ -18,7 +19,14 @@ from tfcca import (
     parallel_transport,
 )
 from tfcca.numerics import trapezoid_weights
-from tfcca.sphere import ANTIPODE_MARGIN, _ip_rows, _log_rows, _transport_rows, tangent_at
+from tfcca.sphere import (
+    ANTIPODE_MARGIN,
+    _ip_rows,
+    _log_rows,
+    _transport_rows,
+    _unit_factors,
+    tangent_at,
+)
 
 N = 301
 GRID = Grid(N)
@@ -65,6 +73,18 @@ class TestDistance:
             assert geodesic_distance(a, c) <= (
                 geodesic_distance(a, b) + geodesic_distance(b, c) + 1e-8
             )
+
+
+class TestUnitFactors:
+    def test_rejects_a_zero_norm_in_a_stack(self):
+        with pytest.raises(ValidationError, match="zero function"):
+            _unit_factors(np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(ValidationError, match="zero function"):
+            SpherePoint(DiscreteFunction(GRID, np.zeros(N)))
+
+    def test_keeps_norms_within_tolerance_of_one(self):
+        norms = np.array([1.0 + 1e-13, 1.0 + 1e-11, 4.0])
+        assert _unit_factors(norms).tolist() == [1.0, 1.0 / norms[1], 0.25]
 
 
 class TestExpLog:
