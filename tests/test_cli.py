@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -144,6 +145,31 @@ class TestShapeCca:
         assert vals.shape == (96, 2)
         np.testing.assert_allclose(vals[0], vals[-1], atol=1e-9)
 
+    def test_emit_csv_planar(self, shape_dataset, tmp_path):
+        out = tmp_path / "rep.json"
+        csvdir = tmp_path / "dirs"
+        assert run_cli([
+            "shape-cca",
+            "--input-a", str(shape_dataset / "group_a.jsonl"),
+            "--input-b", str(shape_dataset / "group_b.jsonl"),
+            "--rank", "2", "--curve-grid", "96", "--epsilons=1,-1,0",
+            "--directions", "1", "--out", str(out), "--emit-csv", str(csvdir),
+        ]) == 0
+        rep = load_report(str(out))
+        assert sorted(os.listdir(csvdir)) == ["group_a_variate1.csv",
+                                              "group_b_variate1.csv"]
+        for side in ("group_a", "group_b"):
+            with open(csvdir / f"{side}_variate1.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["t", "eps-1_x", "eps-1_y", "eps0_x", "eps0_y",
+                               "eps1_x", "eps1_y"]
+            assert len(rows) == 1 + 96
+            entries = sorted(rep["variate_directions"][side], key=lambda e: e["epsilon"])
+            for i, row in enumerate(rows[1:]):
+                assert float(row[0]) == pytest.approx(i / 95, abs=1e-10)
+                cells = [float(x) for x in row[1:]]
+                assert cells == [v for e in entries for v in e["values"][i]]
+
 
 class TestCrossCca:
     def test_mixed_kinds(self, pdf_dataset, shape_dataset, tmp_path):
@@ -270,6 +296,44 @@ class TestCvrCommand:
         assert run_cli(self._cvr_argv(pdf_dataset, tmp_path)) == code
         err = capsys.readouterr().err
         assert err.startswith(reason) and err.count("\n") == 1, err
+
+
+class TestSharedOptions:
+    # the smallest command line each command accepts
+    REQUIRED = {
+        "pdf-cca": ["--input-a", "a", "--input-b", "b"],
+        "shape-cca": ["--input-a", "a", "--input-b", "b"],
+        "cross-cca": ["--pdf-input", "a", "--shape-input", "b"],
+        "cvr": ["--input-a", "a", "--input-b", "b", "--response", "y", "--d", "1"],
+    }
+    SHARED = ("rank", "explained", "tangent_mode", "grid", "curve_grid", "bins",
+              "floor", "out")
+
+    def _parse(self, cmd, *extra):
+        return tfcca.cli.build_parser().parse_args(
+            [cmd] + self.REQUIRED[cmd] + ["--out", "r.json"] + list(extra))
+
+    def test_same_defaults_for_every_command(self):
+        parsed = {cmd: self._parse(cmd) for cmd in self.REQUIRED}
+        expected = {"rank": None, "explained": None, "tangent_mode": "separate",
+                    "grid": 1000, "curve_grid": 200, "bins": 50, "floor": 1e-4,
+                    "out": "r.json"}
+        for cmd, args in parsed.items():
+            assert {k: getattr(args, k) for k in self.SHARED} == expected, cmd
+
+    @pytest.mark.parametrize("cmd", sorted(REQUIRED))
+    def test_shared_values_parse_and_rank_excludes_explained(self, cmd, capsys):
+        args = self._parse(cmd, "--rank", "4", "--tangent-mode", "transport",
+                           "--grid", "300", "--curve-grid", "64", "--bins", "20",
+                           "--floor", "0.01")
+        assert (args.rank, args.tangent_mode, args.grid, args.curve_grid, args.bins,
+                args.floor) == (4, "transport", 300, 64, 20, 0.01)
+        assert self._parse(cmd, "--explained", "0.5").explained == 0.5
+        for bad in (["--rank", "2", "--explained", "0.5"], ["--tangent-mode", "joint"]):
+            with pytest.raises(SystemExit) as exc:
+                self._parse(cmd, *bad)
+            assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestDeterminism:
