@@ -41,16 +41,21 @@ from .simgen import (
     gen_pdf_group,
 )
 
-DEFAULT_EPSILONS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 
+def _read_lines(path: str) -> list:
+    """Lines of a text input, which must be UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_pdf_csv(path: str, grid_size: int):
     """CSV: first column grid values in [0,1], one column per subject."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(_read_lines(path)))
     if len(rows) < 4 or len(rows[0]) < 2:
         raise ValidationError(f"{path}: need a header row and >= 3 data rows")
     ids = [c.strip() for c in rows[0][1:]]
@@ -78,18 +83,17 @@ def _read_pdf_csv(path: str, grid_size: int):
 
 def _read_jsonl(path: str):
     records = []
-    with open(path) as fh:
-        for k, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{k}: invalid JSON ({exc})") from None
-            if not isinstance(rec, dict):
-                raise ValidationError(f"{path}:{k}: a record must be a JSON object")
-            records.append(rec)
+    for k, line in enumerate(_read_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{k}: invalid JSON ({exc})") from None
+        if not isinstance(rec, dict):
+            raise ValidationError(f"{path}:{k}: a record must be a JSON object")
+        records.append(rec)
     if not records:
         raise ValidationError(f"{path}: empty input")
     return records
@@ -168,9 +172,19 @@ def _pair_by_id(objs_a: dict, objs_b: dict):
     return ids, [objs_a[s] for s in ids], [objs_b[s] for s in ids]
 
 
+def _ingest(kind_a, kind_b, path_a, path_b, args):
+    """Load input A, then input B, and pair them by id.
+
+    Returns the ids, both groups in id order and the ingestion metadata.
+    """
+    objs_a, meta_a = _load_functional(path_a, kind_a, args)
+    objs_b, meta_b = _load_functional(path_b, kind_b, args)
+    ids, group_a, group_b = _pair_by_id(objs_a, objs_b)
+    return ids, group_a, group_b, {"input_a": meta_a, "input_b": meta_b}
+
+
 def _read_response(path: str, ids, log_response: bool):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(_read_lines(path)))
     if not rows or len(rows[0]) < 2:
         raise ValidationError(f"{path}: need 'id,response' columns")
     table = {}
@@ -199,6 +213,16 @@ def _read_response(path: str, ids, log_response: bool):
 # ---------------------------------------------------------------------------
 # analysis helpers
 
+def _tangent_layout(group_a, group_b, args):
+    """The tangent layout and FPCA truncation that the shared options select."""
+    return tangent_mode_pipeline(
+        group_a, group_b,
+        mode=args.tangent_mode,
+        rank=args.rank,
+        explained=args.explained,
+    )
+
+
 def _parse_epsilons(text: str):
     try:
         eps = tuple(float(x) for x in text.split(",") if x.strip() != "")
@@ -221,24 +245,22 @@ def _direction_entries(result, res_cca, epsilons, directions):
     for side, basis, weights, mean in sides:
         if result.mode == "transport":
             mean = result.mean_2
-        kind = "pdf" if hasattr(mean, "p") else "curve"
+        n_points = int(basis.base.grid.n_points)
         for j in range(take):
             w = weights[:, j]
             w = w / np.linalg.norm(w)  # unit direction; epsilon sets the length
-            if kind == "pdf":
+            if hasattr(mean, "p"):
                 funcs = pdf_variate_direction(mean, basis, w, epsilons)
                 tables = [f.f.values for f in funcs]
-                n_points = funcs[0].grid.n_points
             else:
                 curves = shape_variate_direction(mean, basis, w, epsilons)
                 tables = [c.beta.values for c in curves]
-                n_points = curves[0].grid.n_points
             for eps, vals in zip(epsilons, tables):
                 out[side].append(
                     {
                         "variate": j + 1,
                         "epsilon": float(eps),
-                        "grid": {"n_points": int(n_points)},
+                        "grid": {"n_points": n_points},
                         "values": vals,
                     }
                 )
@@ -255,26 +277,19 @@ def _emit_direction_csv(directory, report):
             entries.sort(key=lambda e: e["epsilon"])
             n = entries[0]["grid"]["n_points"]
             t = np.linspace(0.0, 1.0, n)
+            # a planar entry is written as an x column and a y column
             planar = isinstance(entries[0]["values"][0], list)
+            suffixes = ("_x", "_y") if planar else ("",)
+            header = ["t"] + [f"eps{e['epsilon']:g}{s}" for e in entries for s in suffixes]
+            columns = [e["values"] for e in entries]
+            if planar:
+                columns = [[v[k] for v in col] for col in columns for k in (0, 1)]
             path = os.path.join(directory, f"{side}_variate{variate}.csv")
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
-                if planar:
-                    header = ["t"]
-                    for e in entries:
-                        header += [f"eps{e['epsilon']:g}_x", f"eps{e['epsilon']:g}_y"]
-                    writer.writerow(header)
-                    for i in range(n):
-                        row = [f"{t[i]:.10g}"]
-                        for e in entries:
-                            row += [repr(e["values"][i][0]), repr(e["values"][i][1])]
-                        writer.writerow(row)
-                else:
-                    writer.writerow(["t"] + [f"eps{e['epsilon']:g}" for e in entries])
-                    for i in range(n):
-                        writer.writerow(
-                            [f"{t[i]:.10g}"] + [repr(e["values"][i]) for e in entries]
-                        )
+                writer.writerow(header)
+                for i in range(n):
+                    writer.writerow([f"{t[i]:.10g}"] + [repr(col[i]) for col in columns])
 
 
 def _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta):
@@ -303,8 +318,8 @@ def _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
                 "epsilons": list(epsilons),
                 "directions": args.directions,
                 "direction_weights": "unit-norm canonical weight columns",
-                "grid": getattr(args, "grid", None),
-                "curve_grid": getattr(args, "curve_grid", None),
+                "grid": args.grid,
+                "curve_grid": args.curve_grid,
             },
             "ingestion": ingest_meta,
         },
@@ -313,22 +328,13 @@ def _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
 
 
 def _run_paired_analysis(command, kind_a, kind_b, path_a, path_b, args):
-    objs_a, meta_a = _load_functional(path_a, kind_a, args)
-    objs_b, meta_b = _load_functional(path_b, kind_b, args)
-    ids, group_a, group_b = _pair_by_id(objs_a, objs_b)
+    ids, group_a, group_b, ingest_meta = _ingest(kind_a, kind_b, path_a, path_b, args)
     epsilons = _parse_epsilons(args.epsilons)
-    result = tangent_mode_pipeline(
-        group_a,
-        group_b,
-        mode=args.tangent_mode,
-        rank=args.rank,
-        explained=args.explained,
-    )
+    if args.directions < 0:
+        raise ValidationError(f"--directions must be >= 0, got {args.directions}")
+    result = _tangent_layout(group_a, group_b, args)
     res_cca = cca(result.c1, result.c2, ridge=args.ridge)
-    report = _analysis_report(
-        command, args, ids, result, res_cca, epsilons,
-        {"input_a": meta_a, "input_b": meta_b},
-    )
+    report = _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
     write_report(report, args.out)
     if args.emit_csv:
         _emit_direction_csv(args.emit_csv, load_report(args.out))
@@ -369,21 +375,16 @@ def _detect_kind(path: str) -> str:
 def cmd_cvr(args):
     kind_a = _detect_kind(args.input_a)
     kind_b = _detect_kind(args.input_b)
-    objs_a, meta_a = _load_functional(args.input_a, kind_a, args)
-    objs_b, meta_b = _load_functional(args.input_b, kind_b, args)
-    ids, group_a, group_b = _pair_by_id(objs_a, objs_b)
+    ids, group_a, group_b, ingest_meta = _ingest(
+        kind_a, kind_b, args.input_a, args.input_b, args
+    )
     y = _read_response(args.response, ids, args.log_response)
     try:
         eta_grid = tuple(float(x) for x in args.eta_grid.split(","))
     except ValueError:
         raise ValidationError(f"bad --eta-grid {args.eta_grid!r}") from None
 
-    result = tangent_mode_pipeline(
-        group_a, group_b,
-        mode=args.tangent_mode,
-        rank=args.rank,
-        explained=args.explained,
-    )
+    result = _tangent_layout(group_a, group_b, args)
     trace, details = cvr_cross_validate(
         result.c1, result.c2, y, args.d, eta_grid,
         split=args.splits, repeats=args.repeats, rng_seed=args.seed,
@@ -441,7 +442,7 @@ def cmd_cvr(args):
                 "log_response": args.log_response,
                 "risk_score": "negated linear predictor",
             },
-            "ingestion": {"input_a": meta_a, "input_b": meta_b},
+            "ingestion": ingest_meta,
         },
     }
     write_report(report, args.out)
@@ -512,9 +513,10 @@ def cmd_simulate(args):
         "tool_version": __version__,
         "outputs": [os.path.basename(p) for p in outputs],
         "truth": truth,
-        "metadata": {"effective_options": vars(args) | {"func": None}},
+        "metadata": {
+            "effective_options": {k: v for k, v in vars(args).items() if k != "func"}
+        },
     }
-    sidecar["metadata"]["effective_options"].pop("func", None)
     write_report(sidecar, os.path.join(args.out_dir, "truth.json"))
     print(f"wrote {len(outputs)} data files + truth.json to {args.out_dir}")
 
@@ -522,25 +524,17 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common_analysis_args(p):
+def _add_paired_input_args(p):
+    """Options of every command that reads two paired inputs (analyses, cvr)."""
     rank = p.add_mutually_exclusive_group()
     rank.add_argument("--rank", type=int, default=None, help="fixed FPCA rank")
     rank.add_argument(
         "--explained", type=float, default=None,
-        help="pick the smallest rank explaining this variance fraction",
+        help="pick the smallest rank explaining this variance fraction, in (0, 1]",
     )
     p.add_argument(
         "--tangent-mode", default="separate",
         choices=("separate", "pooled", "transport"),
-    )
-    p.add_argument("--ridge", type=float, default=0.0, help="CCA ridge stabilizer")
-    p.add_argument(
-        "--epsilons", default="-3,-2,-1,0,1,2,3",
-        help="comma-separated geodesic step sizes for variate directions",
-    )
-    p.add_argument(
-        "--directions", type=int, default=3,
-        help="number of leading canonical directions to reconstruct",
     )
     p.add_argument("--grid", type=int, default=DEFAULT_PDF_GRID,
                    help="working grid size for densities")
@@ -551,8 +545,6 @@ def _add_common_analysis_args(p):
     p.add_argument("--floor", type=float, default=1e-4,
                    help="histogram floor added to every bin")
     p.add_argument("--out", required=True, help="path of the JSON report")
-    p.add_argument("--emit-csv", default=None, metavar="DIR",
-                   help="also write per-direction CSV function tables")
 
 
 def build_parser():
@@ -564,23 +556,30 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("pdf-cca", help="CCA between two paired density groups")
-    p.add_argument("--input-a", required=True)
-    p.add_argument("--input-b", required=True)
-    _add_common_analysis_args(p)
-    p.set_defaults(func=cmd_pdf_cca)
-
-    p = sub.add_parser("shape-cca", help="CCA between two paired curve groups")
-    p.add_argument("--input-a", required=True)
-    p.add_argument("--input-b", required=True)
-    _add_common_analysis_args(p)
-    p.set_defaults(func=cmd_shape_cca)
-
-    p = sub.add_parser("cross-cca", help="CCA between densities and curves")
-    p.add_argument("--pdf-input", required=True)
-    p.add_argument("--shape-input", required=True)
-    _add_common_analysis_args(p)
-    p.set_defaults(func=cmd_cross_cca)
+    for name, help_text, inputs, func in (
+        ("pdf-cca", "CCA between two paired density groups",
+         ("--input-a", "--input-b"), cmd_pdf_cca),
+        ("shape-cca", "CCA between two paired curve groups",
+         ("--input-a", "--input-b"), cmd_shape_cca),
+        ("cross-cca", "CCA between densities and curves",
+         ("--pdf-input", "--shape-input"), cmd_cross_cca),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag in inputs:
+            p.add_argument(flag, required=True)
+        _add_paired_input_args(p)
+        p.add_argument("--ridge", type=float, default=0.0, help="CCA ridge stabilizer")
+        p.add_argument(
+            "--epsilons", default="-3,-2,-1,0,1,2,3",
+            help="comma-separated geodesic step sizes for variate directions",
+        )
+        p.add_argument(
+            "--directions", type=int, default=3,
+            help="number of leading canonical directions to reconstruct",
+        )
+        p.add_argument("--emit-csv", default=None, metavar="DIR",
+                       help="also write per-direction CSV function tables")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("cvr", help="canonical variate regression with CV over eta")
     p.add_argument("--input-a", required=True)
@@ -594,16 +593,7 @@ def build_parser():
                    help="training fraction per repeat")
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    rank = p.add_mutually_exclusive_group()
-    rank.add_argument("--rank", type=int, default=None)
-    rank.add_argument("--explained", type=float, default=None)
-    p.add_argument("--tangent-mode", default="separate",
-                   choices=("separate", "pooled", "transport"))
-    p.add_argument("--grid", type=int, default=DEFAULT_PDF_GRID)
-    p.add_argument("--curve-grid", type=int, default=DEFAULT_CURVE_GRID)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--floor", type=float, default=1e-4)
-    p.add_argument("--out", required=True)
+    _add_paired_input_args(p)
     p.set_defaults(func=cmd_cvr)
 
     p = sub.add_parser("simulate", help="materialize simulation datasets")

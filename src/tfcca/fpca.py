@@ -105,11 +105,11 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
 
     Exactly one truncation rule applies: a fixed rank, or the smallest rank
     whose eigenvalues explain at least `explained` of the total variance
-    (default 0.95). Solved by one thin SVD of the weighted sample matrix
-    X sqrt(w) = U S V^T: the eigenvalues are s^2 / (n - 1) and the
-    eigenfunctions V / sqrt(w), which come out exactly L2-orthonormal.
-    Sign convention: the largest-magnitude entry of each eigenfunction is
-    positive.
+    (default 0.95; it must lie in (0, 1]). Solved by one thin SVD of the
+    weighted sample matrix X sqrt(w) = U S V^T: the eigenvalues are
+    s^2 / (n - 1) and the eigenfunctions V / sqrt(w), which come out exactly
+    L2-orthonormal. Sign convention: the largest-magnitude entry of each
+    eigenfunction is positive.
     """
     if len(tangents) < 2:
         raise ValidationError("fpca needs >= 2 tangent vectors")
@@ -117,6 +117,8 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
         raise ValidationError("specify rank or explained, not both")
     if rank is None and explained is None:
         explained = PDF_EXPLAINED_DEFAULT
+    if explained is not None and not 0 < explained <= 1:
+        raise ValidationError(f"explained must lie in (0, 1], got {explained}")
 
     base = _check_common_base(tangents)
     proto = tangents[0].v
@@ -200,10 +202,6 @@ def _group_mean_tangents(group, kind):
     return shape_tangent_coordinates(group)
 
 
-def _default_explained(kind: str) -> float:
-    return PDF_EXPLAINED_DEFAULT if kind == "pdf" else SHAPE_EXPLAINED_DEFAULT
-
-
 def tangent_mode_pipeline(
     group_a,
     group_b,
@@ -240,43 +238,26 @@ def tangent_mode_pipeline(
 
     def _fit(tangents, kind):
         if rank is None and explained is None:
-            return fit_fpca(tangents, explained=_default_explained(kind))
+            default = PDF_EXPLAINED_DEFAULT if kind == "pdf" else SHAPE_EXPLAINED_DEFAULT
+            return fit_fpca(tangents, explained=default)
         return fit_fpca(tangents, rank=rank, explained=explained)
 
-    if mode == "separate":
+    if mode == "pooled":
+        mean_1, tangents = _group_mean_tangents(list(group_a) + list(group_b), kind_a)
+        mean_2, tan_1, tan_2 = mean_1, tangents[:len(group_a)], tangents[len(group_a):]
+    else:
         mean_1, tan_1 = _group_mean_tangents(group_a, kind_a)
         mean_2, tan_2 = _group_mean_tangents(group_b, kind_b)
+    if mode == "transport":
+        p1, p2 = (m.p if kind_a == "pdf" else m.q for m in (mean_1, mean_2))
+        rows = _transport_rows(np.stack([t.v.values for t in tan_1]), p1, p2)
+        tan_1 = [TangentVector(p2, p2.f.with_values(v)) for v in rows]
+    if mode == "separate":
         basis_1, basis_2 = _fit(tan_1, kind_a), _fit(tan_2, kind_b)
-        c1 = coefficients(basis_1, tan_1)
-        c2 = coefficients(basis_2, tan_2)
-        return TangentModeResult(
-            f"{kind_a}+{kind_b}" if kind_a != kind_b else kind_a,
-            mode, c1, c2, basis_1, basis_2, mean_1, mean_2, tan_1, tan_2,
-        )
-
-    if mode == "pooled":
-        pooled_mean, pooled_tan = _group_mean_tangents(
-            list(group_a) + list(group_b), kind_a
-        )
-        n = len(group_a)
-        tan_1, tan_2 = pooled_tan[:n], pooled_tan[n:]
-        basis = _fit(pooled_tan, kind_a)
-        c1 = coefficients(basis, tan_1)
-        c2 = coefficients(basis, tan_2)
-        return TangentModeResult(
-            kind_a, mode, c1, c2, basis, basis, pooled_mean, pooled_mean, tan_1, tan_2
-        )
-
-    # transport
-    mean_1, tan_1 = _group_mean_tangents(group_a, kind_a)
-    mean_2, tan_2 = _group_mean_tangents(group_b, kind_a)
-    p1 = mean_1.p if kind_a == "pdf" else mean_1.q
-    p2 = mean_2.p if kind_a == "pdf" else mean_2.q
-    rows = _transport_rows(np.stack([t.v.values for t in tan_1]), p1, p2)
-    moved = [TangentVector(p2, p2.f.with_values(v)) for v in rows]
-    basis = _fit(list(moved) + list(tan_2), kind_a)
-    c1 = coefficients(basis, moved)
-    c2 = coefficients(basis, tan_2)
+    else:
+        basis_1 = basis_2 = _fit(list(tan_1) + list(tan_2), kind_a)
     return TangentModeResult(
-        kind_a, mode, c1, c2, basis, basis, mean_1, mean_2, moved, tan_2
+        kind_a if kind_a == kind_b else f"{kind_a}+{kind_b}", mode,
+        coefficients(basis_1, tan_1), coefficients(basis_2, tan_2),
+        basis_1, basis_2, mean_1, mean_2, tan_1, tan_2,
     )

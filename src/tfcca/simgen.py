@@ -46,6 +46,13 @@ ANCHOR_KAPPA = 1.5
 LOCATION_SPREAD = (0.06, 0.12)
 KAPPA_RANGE = (14.0, 28.0)  # group 2 peak thickness range
 
+# recovery protocols: subjects per group, the density grid, the coefficient
+# scale of the synthesized densities and the rank of the shape bases
+RECOVERY_N = 100
+RECOVERY_PDF_GRID = 1000
+RECOVERY_PDF_SCALE = 0.03
+RECOVERY_SHAPE_RANK = 3
+
 
 @dataclass(frozen=True)
 class PdfSimSpec:
@@ -67,7 +74,6 @@ class CurveSimSpec:
     n: int
     grid: Grid = field(default_factory=lambda: Grid(200))
     rng_seed: int = 0
-    vary_shape: tuple = (False, True)  # per-group peak-thickness variability
 
     def __post_init__(self):
         if self.regime not in CURVE_REGIMES:
@@ -141,24 +147,17 @@ def gen_curve_group(spec: CurveSimSpec, group: int):
     group=2 under the same spec yields paired samples whose second-bump
     locations have exactly the regime's sample correlation. Every curve is a
     unit circle with a fixed bump pointing north and a second bump at the
-    latent angle; groups flagged in vary_shape also vary the second bump's
-    concentration.
+    latent angle. Group 1's second bump has concentration BUMP_KAPPA; group
+    2's is drawn from KAPPA_RANGE per curve.
     """
     if group not in (1, 2):
         raise ValidationError("group must be 1 or 2")
     rng = np.random.default_rng(spec.rng_seed)
     a, w = _correlated_standard_pair(spec.n, REGIME_CORRELATION[spec.regime], rng)
-    kappas_1 = (
-        rng.uniform(*KAPPA_RANGE, spec.n)
-        if spec.vary_shape[0]
-        else np.full(spec.n, BUMP_KAPPA)
-    )
-    kappas_2 = (
-        rng.uniform(*KAPPA_RANGE, spec.n)
-        if spec.vary_shape[1]
-        else np.full(spec.n, BUMP_KAPPA)
-    )
-    z, kappas = (a, kappas_1) if group == 1 else (w, kappas_2)
+    if group == 1:
+        z, kappas = a, np.full(spec.n, BUMP_KAPPA)
+    else:
+        z, kappas = w, rng.uniform(*KAPPA_RANGE, spec.n)
     locs = SECOND_BUMP_BASE + LOCATION_SPREAD[group - 1] * z
 
     theta = 2 * np.pi * spec.grid.points
@@ -196,9 +195,11 @@ def _child_seed(rng_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((rng_seed, index)).generate_state(1)[0])
 
 
-def _synthesize(mean, basis, coeffs, scale):
-    """New densities exp_mean(sum_j x_j e_j)^2 from coefficient rows."""
-    return [srt_inverse(exp_map(mean.p, basis.direction(scale * row))) for row in coeffs]
+def _synthesize(mean, basis, coeffs):
+    """New densities exp_mean(sum_j x_j e_j)^2 from coefficient rows scaled
+    by RECOVERY_PDF_SCALE."""
+    rows = RECOVERY_PDF_SCALE * coeffs
+    return [srt_inverse(exp_map(mean.p, basis.direction(row))) for row in rows]
 
 
 def recovery_protocol_pdf(
@@ -206,10 +207,7 @@ def recovery_protocol_pdf(
     mode: str = "separate",
     rng_seed: int = 0,
     groups: tuple = (1, 2),
-    n: int = 100,
-    grid: Grid | None = None,
     rho_targets=None,
-    scale: float = 0.03,
 ) -> PdfRecovery:
     """Six-step canonical-correlation recovery study for densities.
 
@@ -226,15 +224,16 @@ def recovery_protocol_pdf(
        mode (separate or pooled);
     6. run CCA on the re-estimated coefficients.
 
-    The coefficient scale keeps the synthesized sphere points inside the
-    region where the tangent linearization is accurate; recovery error grows
-    quadratically with it.
+    Each group has RECOVERY_N densities on a RECOVERY_PDF_GRID-point grid.
+    The coefficient scale RECOVERY_PDF_SCALE keeps the synthesized sphere
+    points inside the region where the tangent linearization is accurate;
+    recovery error grows quadratically with it.
     """
     if mode not in ("separate", "pooled"):
         raise ValidationError("mode must be 'separate' or 'pooled'")
     if r < 1:
         raise ValidationError("r must be positive")
-    grid = grid or Grid(1000)
+    n, grid = RECOVERY_N, Grid(RECOVERY_PDF_GRID)
     if rho_targets is None:
         rho_targets = 0.7 * 0.4 ** np.arange(r)
     rho_targets = np.asarray(rho_targets, dtype=float)
@@ -260,8 +259,8 @@ def recovery_protocol_pdf(
     fit = tangent_mode_pipeline(carriers[0], carriers[1], rank=r)
 
     # step 4: synthesize new densities from the step-1 coefficients
-    new1 = _synthesize(fit.mean_1, fit.basis_1, X1, scale)
-    new2 = _synthesize(fit.mean_2, fit.basis_2, X2, scale)
+    new1 = _synthesize(fit.mean_1, fit.basis_1, X1)
+    new2 = _synthesize(fit.mean_2, fit.basis_2, X2)
 
     # steps 5-6: re-estimate under the requested mode and run CCA
     res = tangent_mode_pipeline(new1, new2, mode=mode, rank=r)
@@ -272,16 +271,16 @@ def recovery_protocol_pdf(
 def recovery_protocol_shape(
     regime: str,
     rng_seed: int = 0,
-    n: int = 100,
+    n: int = RECOVERY_N,
     grid: Grid | None = None,
-    r: int = 3,
 ) -> ShapeRecovery:
     """Ground-truth recovery study for shapes.
 
     Generates the two correlated curve groups, runs tangent_mode_pipeline
-    with rank r in the separate layout, moves its group-1 tangents and
-    eigenbasis to group 2's mean by parallel transport for a second
-    estimate, and returns the latent peak-location correlation next to both.
+    with rank RECOVERY_SHAPE_RANK in the separate layout, moves its group-1
+    tangents and eigenbasis to group 2's mean by parallel transport for a
+    second estimate, and returns the latent peak-location correlation next
+    to both.
     """
     grid = grid or Grid(200)
     spec = CurveSimSpec(regime, n, grid, rng_seed)
@@ -289,7 +288,7 @@ def recovery_protocol_shape(
     curves2, locs2 = gen_curve_group(spec, 2)
     rho_truth = float(np.corrcoef(locs1, locs2)[0, 1])
 
-    sep = tangent_mode_pipeline(curves1, curves2, "separate", rank=r)
+    sep = tangent_mode_pipeline(curves1, curves2, "separate", rank=RECOVERY_SHAPE_RANK)
     rho_sep = cca(sep.c1, sep.c2).correlations
 
     # transported layout: move group 1's tangent data and its eigenbasis to

@@ -22,6 +22,10 @@ from .numerics import DiscreteFunction, inner_product, norm, trapezoid_weights
 from .numerics import _check_compatible
 
 ANTIPODE_MARGIN = 1e-6
+# karcher_mean: the fraction of the mean log map taken per iteration, and
+# the iterations run before it gives up unconverged
+KARCHER_STEP = 0.5
+KARCHER_MAX_ITER = 100
 
 
 def _unit_factors(norms):
@@ -151,18 +155,14 @@ def tangent_at(base: SpherePoint, values: np.ndarray) -> TangentVector:
     return TangentVector(base, w.with_values(w.values - drift * base.f.values))
 
 
-def karcher_mean(
-    points: list,
-    step: float = 0.5,
-    tol: float = 1e-6,
-    max_iter: int = 100,
-) -> KarcherMeanResult:
+def karcher_mean(points: list, tol: float = 1e-6) -> KarcherMeanResult:
     """Karcher (Frechet) mean on the sphere by tangent-space averaging.
 
-    Iterates p <- exp_p(step * mean_i log_p(p_i)) from the renormalized
-    extrinsic average until the gradient norm drops below tol, taking all
-    log maps in one call on the stacked samples. Non-convergence is flagged
-    in the result rather than raised.
+    Iterates p <- exp_p(KARCHER_STEP * mean_i log_p(p_i)) from the
+    renormalized extrinsic average until the gradient norm drops below tol,
+    taking all log maps in one call on the stacked samples. Non-convergence
+    after KARCHER_MAX_ITER iterations is flagged in the result rather than
+    raised.
     """
     if not points:
         raise ValidationError("karcher_mean needs at least one point")
@@ -177,7 +177,7 @@ def karcher_mean(
     variance_trace = []
     grad_norm = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, KARCHER_MAX_ITER + 1):
         logs = _log_rows(mean.f.values, stack, w)
         variance_trace.append(float(np.mean(np.maximum(_ip_rows(logs, logs, w), 0.0))))
         direction = tangent_at(mean, logs.mean(axis=0))
@@ -186,7 +186,7 @@ def karcher_mean(
             return KarcherMeanResult(
                 mean, iterations, grad_norm, True, tuple(variance_trace)
             )
-        mean = exp_map(mean, TangentVector(mean, direction.v * step))
+        mean = exp_map(mean, TangentVector(mean, direction.v * KARCHER_STEP))
     return KarcherMeanResult(mean, iterations, grad_norm, False, tuple(variance_trace))
 
 

@@ -414,9 +414,13 @@ class TestDeterminism:
 
 GOOD_RESPONSE = ["id,months"] + [f"s{i:04d},{10 + i}" for i in range(14)]
 RAGGED_PDF_HEADER = ["t,s1,s2,s3"]
+NOT_UTF8 = b"\xff\xfe\x00bad\n"
+PDF_ARGV = ["--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
+            "--rank", "2", "--grid", "300", "--out", "{tmp}/r.json"]
 
-# (case, files to write as lines, argv, text the reason must contain); "{data}"
-# is the simulated pdf dataset and "{tmp}" the test's scratch directory
+# (case, files to write as lines or raw bytes, argv, text the reason must
+# contain); "{data}" is the simulated pdf dataset and "{tmp}" the test's
+# scratch directory
 MALFORMED = [
     ("missing input file", {},
      ["pdf-cca", "--input-a", "{tmp}/absent.csv", "--input-b", "{tmp}/absent.csv",
@@ -455,6 +459,21 @@ MALFORMED = [
      {"pdf.csv": RAGGED_PDF_HEADER + ["0,1,1,1", "0.5,1,1", "1,1,1,1"]},
      ["pdf-cca", "--input-a", "{tmp}/pdf.csv", "--input-b", "{tmp}/pdf.csv",
       "--out", "{tmp}/r.json"], "pdf.csv:3: 3 cells, the header has 4"),
+    ("non-UTF-8 csv input", {"bin.csv": NOT_UTF8},
+     ["pdf-cca", "--input-a", "{data}/group_a.csv", "--input-b", "{tmp}/bin.csv",
+      "--out", "{tmp}/r.json"], "{tmp}/bin.csv: not UTF-8 text"),
+    ("non-UTF-8 jsonl input", {"bin.jsonl": NOT_UTF8},
+     ["cvr", "--input-a", "{tmp}/bin.jsonl", "--input-b", "{data}/group_b.csv",
+      "--response", "{data}/group_b.csv", "--d", "1", "--out", "{tmp}/r.json"],
+     "{tmp}/bin.jsonl: not UTF-8 text"),
+    ("non-UTF-8 response", {"bin.csv": NOT_UTF8},
+     ["cvr", "--response", "{tmp}/bin.csv", "--d", "1"] + PDF_ARGV,
+     "{tmp}/bin.csv: not UTF-8 text"),
+    ("explained above one", {},
+     ["pdf-cca", "--explained", "1.5"] + PDF_ARGV[:4] + PDF_ARGV[6:],
+     "explained must lie in (0, 1], got 1.5"),
+    ("negative directions", {}, ["pdf-cca", "--directions", "-1"] + PDF_ARGV,
+     "--directions must be >= 0, got -1"),
 ]
 
 
@@ -463,7 +482,10 @@ MALFORMED = [
 def test_malformed_input_exits_2_with_reason(case, files, argv, reason, pdf_dataset,
                                              tmp_path, capsys):
     for name, lines in files.items():
-        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
+        if isinstance(lines, bytes):
+            (tmp_path / name).write_bytes(lines)
+        else:
+            (tmp_path / name).write_text("".join(line + "\n" for line in lines))
     argv = [a.format(data=pdf_dataset, tmp=tmp_path) for a in argv]
     code = run_cli(argv)
     err = capsys.readouterr().err

@@ -171,6 +171,13 @@ class TestFitFpca:
         if smaller is not None:
             assert smaller.explained_fraction < 0.9
 
+    def test_explained_outside_unit_interval_rejected(self):
+        tangents = smooth_tangents(np.random.default_rng(8), smooth_base(), 12)
+        for bad in (1.5, 1.0 + 1e-9, 0.0, -1.0, np.nan):
+            with pytest.raises(ValidationError, match="explained must lie in"):
+                fit_fpca(tangents, explained=bad)
+        assert fit_fpca(tangents, explained=1.0).explained_fraction == pytest.approx(1.0)
+
 
 class TestCoefficients:
     def test_zero_vector(self):
