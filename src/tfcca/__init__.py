@@ -42,6 +42,7 @@ from .sphere import (  # noqa: E402
     KarcherMeanResult,
     SpherePoint,
     TangentVector,
+    Tangents,
     exp_map,
     geodesic_distance,
     karcher_mean,
@@ -74,7 +75,6 @@ from .shape import (  # noqa: E402
     srvf_inverse,
 )
 from .fpca import (  # noqa: E402
-    CoeffMatrix,
     FpcBasis,
     TangentModeResult,
     coefficients,

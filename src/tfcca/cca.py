@@ -38,8 +38,7 @@ class CcaResult:
 
 
 def _as_matrix(C, name: str) -> np.ndarray:
-    rows = getattr(C, "rows", C)
-    M = np.asarray(rows, dtype=float)
+    M = np.asarray(C, dtype=float)
     if M.ndim != 2:
         raise ValidationError(f"{name} must be a 2-D matrix")
     if not np.all(np.isfinite(M)):

@@ -99,9 +99,8 @@ def _read_jsonl(path: str):
     return records
 
 
-def _read_pdf_samples(path: str, grid_size: int, bins: int, floor: float):
+def _read_pdf_samples(path: str, records, grid_size: int, bins: int, floor: float):
     """JSON-lines of {"id":..., "samples":[...]}; one dataset-wide rescale."""
-    records = _read_jsonl(path)
     samples = []
     for rec in records:
         if "id" not in rec or "samples" not in rec:
@@ -136,9 +135,8 @@ def _read_pdf_samples(path: str, grid_size: int, bins: int, floor: float):
     }
 
 
-def _read_curves(path: str, grid_size: int):
+def _read_curves(path: str, records, grid_size: int):
     """JSON-lines of {"id":..., "points":[[x,y],...]}; arc-length resample."""
-    records = _read_jsonl(path)
     grid = Grid(grid_size)
     out = {}
     for rec in records:
@@ -151,12 +149,23 @@ def _read_curves(path: str, grid_size: int):
     return out, {"format": "jsonl-curves"}
 
 
-def _load_functional(path: str, kind: str, args):
+def _load_functional(path: str, kind: str | None, args):
+    """Read one input file. kind is "pdf", "curve", or None to take it from
+    the file: a CSV holds densities, and JSON-lines records with "points"
+    hold curves, with "samples" densities."""
+    if kind != "curve" and path.endswith(".csv"):
+        return _read_pdf_csv(path, args.grid)
+    records = _read_jsonl(path)
+    if kind is None:
+        if "points" in records[0]:
+            kind = "curve"
+        elif "samples" in records[0]:
+            kind = "pdf"
+        else:
+            raise ValidationError(f"{path}: cannot infer data kind from records")
     if kind == "pdf":
-        if path.endswith(".csv"):
-            return _read_pdf_csv(path, args.grid)
-        return _read_pdf_samples(path, args.grid, args.bins, args.floor)
-    return _read_curves(path, args.curve_grid)
+        return _read_pdf_samples(path, records, args.grid, args.bins, args.floor)
+    return _read_curves(path, records, args.curve_grid)
 
 
 def _pair_by_id(objs_a: dict, objs_b: dict):
@@ -173,7 +182,7 @@ def _pair_by_id(objs_a: dict, objs_b: dict):
 
 
 def _ingest(kind_a, kind_b, path_a, path_b, args):
-    """Load input A, then input B, and pair them by id.
+    """Load input A, then input B (see _load_functional), and pair them by id.
 
     Returns the ids, both groups in id order and the ingestion metadata.
     """
@@ -221,6 +230,12 @@ def _tangent_layout(group_a, group_b, args):
         rank=args.rank,
         explained=args.explained,
     )
+
+
+def _shared_options(args) -> dict:
+    """Effective values of the shared options that set the tangent coordinates."""
+    return {k: getattr(args, k)
+            for k in ("tangent_mode", "rank", "explained", "grid", "curve_grid")}
 
 
 def _parse_epsilons(text: str):
@@ -311,15 +326,11 @@ def _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
         "variate_directions": _direction_entries(result, res_cca, epsilons, args.directions),
         "metadata": {
             "effective_options": {
-                "tangent_mode": result.mode,
-                "rank": args.rank,
-                "explained": args.explained,
+                **_shared_options(args),
                 "ridge": args.ridge,
                 "epsilons": list(epsilons),
                 "directions": args.directions,
                 "direction_weights": "unit-norm canonical weight columns",
-                "grid": args.grid,
-                "curve_grid": args.curve_grid,
             },
             "ingestion": ingest_meta,
         },
@@ -361,22 +372,9 @@ def cmd_cross_cca(args):
     _run_paired_analysis("cross-cca", "pdf", "curve", args.pdf_input, args.shape_input, args)
 
 
-def _detect_kind(path: str) -> str:
-    if path.endswith(".csv"):
-        return "pdf"
-    first = _read_jsonl(path)[0]
-    if "points" in first:
-        return "curve"
-    if "samples" in first:
-        return "pdf"
-    raise ValidationError(f"{path}: cannot infer data kind from records")
-
-
 def cmd_cvr(args):
-    kind_a = _detect_kind(args.input_a)
-    kind_b = _detect_kind(args.input_b)
     ids, group_a, group_b, ingest_meta = _ingest(
-        kind_a, kind_b, args.input_a, args.input_b, args
+        None, None, args.input_a, args.input_b, args
     )
     y = _read_response(args.response, ids, args.log_response)
     try:
@@ -397,7 +395,7 @@ def cmd_cvr(args):
             f"fits did not converge, final fit converged: {final.converged} "
             "(CVR_MAX_ITER sweeps ran out before the objective settled)"
         )
-    risk = -cvr_predict(final, result.c1.rows, result.c2.rows)
+    risk = -cvr_predict(final, result.c1, result.c2)
     report = {
         "schema": "tfcca-report-v1",
         "command": "cvr",
@@ -436,9 +434,7 @@ def cmd_cvr(args):
                 "splits": args.splits,
                 "repeats": args.repeats,
                 "seed": args.seed,
-                "tangent_mode": args.tangent_mode,
-                "rank": args.rank,
-                "explained": args.explained,
+                **_shared_options(args),
                 "log_response": args.log_response,
                 "risk_score": "negated linear predictor",
             },

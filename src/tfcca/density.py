@@ -22,7 +22,8 @@ from .errors import (
     ValidationError,
 )
 from .numerics import DEFAULT_PDF_GRID, DiscreteFunction, Grid, trapezoid_weights
-from .sphere import SpherePoint, TangentVector, _log_rows, exp_map, karcher_mean
+from .sphere import SpherePoint, TangentVector, Tangents, exp_map, karcher_mean
+from .sphere import _log_rows
 
 # Integral drift up to this is renormalized with a warning; beyond is an error.
 MAX_INTEGRAL_DRIFT = 1e-3
@@ -143,12 +144,12 @@ def estimate_pdf(
 def pdf_tangent_coordinates(
     pdfs: list,
     karcher_kwargs: dict | None = None,
-) -> tuple[Srt, list]:
+) -> tuple[Srt, Tangents]:
     """Map densities into the tangent space at their Karcher mean.
 
     Applies the square-root transform to every density, computes the Karcher
     mean of the resulting sphere points, and returns the inverse-exponential
-    images at that mean, all taken in one batched log map.
+    images at that mean as one Tangents block, from one batched log map.
     """
     if len(pdfs) < 2:
         raise ValidationError("need >= 2 densities")
@@ -156,8 +157,7 @@ def pdf_tangent_coordinates(
     mean = Srt(karcher_mean(points, **(karcher_kwargs or {})).mean)
     f = mean.p.f
     X = np.stack([p.f.values for p in points])
-    rows = _log_rows(f.values, X, trapezoid_weights(f.grid.n_points))
-    return mean, [TangentVector(mean.p, f.with_values(v)) for v in rows]
+    return mean, Tangents(mean.p, _log_rows(f.values, X, trapezoid_weights(f.grid.n_points)))
 
 
 def pdf_variate_direction(mean: Srt, basis, weights, epsilons) -> list:

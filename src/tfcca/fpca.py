@@ -1,11 +1,11 @@
 """Tangent-space functional PCA and the three tangent-space layouts.
 
-Tangent vectors are stacked into a sample matrix X (planar functions listed
-x then y, circle-domain functions keeping one copy of the identified
-endpoint) with matching trapezoidal weights w, and decomposed by one thin
-SVD of X sqrt(w), whichever of the sample count and the grid size is larger.
-Eigenfunctions are stored with unit L2 norm, so coefficient extraction and
-reconstruction use the same quadrature convention as the geometry modules.
+The rows of a sphere.Tangents block become a sample matrix X (planar
+functions listed x then y, circle-domain functions keeping one copy of the
+identified endpoint) with matching trapezoidal weights w, decomposed by one
+thin SVD of X sqrt(w), whichever of the sample count and the grid size is
+larger. Eigenfunctions are stored with unit L2 norm, so coefficients, a
+read-only (n, r) array, and reconstruction use the geometry's quadrature.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 
 from .density import Pdf, pdf_tangent_coordinates
 from .errors import RankError, ValidationError
-from .numerics import trapezoid_weights
+from .numerics import _freeze, norm, trapezoid_weights
 from .shape import Curve, shape_tangent_coordinates
-from .sphere import SpherePoint, TangentVector, _transport_rows, tangent_at
+from .sphere import SpherePoint, TangentVector, Tangents, _transport_rows, tangent_at
 
 PDF_EXPLAINED_DEFAULT = 0.95
 SHAPE_EXPLAINED_DEFAULT = 0.80
@@ -44,52 +44,19 @@ class FpcBasis:
         return TangentVector(self.base, self.base.f.with_values(vals))
 
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """n x r matrix of tangent PC coefficients."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rows, dtype=float)
-        if r.ndim != 2 or r.shape[0] < 2:
-            raise ValidationError("coefficient matrix must be 2-D with n >= 2 rows")
-        if not np.all(np.isfinite(r)):
-            raise ValidationError("coefficient matrix has non-finite entries")
-        r = r.copy()
-        r.flags.writeable = False
-        object.__setattr__(self, "rows", r)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.rows.shape[1]
+def _check_explained(explained):
+    if explained is not None and not 0 < explained <= 1:
+        raise ValidationError(f"explained must lie in (0, 1], got {explained}")
 
 
-def _check_common_base(tangents) -> SpherePoint:
-    base = tangents[0].base
-    for t in tangents[1:]:
-        if t.base is base:
-            continue
-        if t.base.grid != base.grid or not np.allclose(
-            t.base.f.values, base.f.values, atol=1e-8
-        ):
-            raise ValidationError("tangent vectors are attached to different bases")
-    return base
-
-
-def _samples(functions) -> tuple[np.ndarray, np.ndarray]:
-    """Sample matrix X, one row per function, and quadrature weights w such
-    that (X * w) @ Y.T holds the L2 inner products.
+def _samples(f0, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample matrix X, one row per function of the stack X sampled like the
+    DiscreteFunction f0, and quadrature weights w such that (X * w) @ Y.T
+    holds the L2 inner products.
 
     A circle's identified endpoint is kept once and carries both end
     weights; a planar function lists its x samples, then its y samples.
     """
-    f0 = functions[0]
-    X = np.stack([f.values for f in functions])
     w = trapezoid_weights(f0.grid.n_points)
     if f0.periodic:
         X = X[:, :-1]
@@ -101,7 +68,7 @@ def _samples(functions) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
-    """Eigen-decompose the sample covariance of tangent vectors.
+    """Eigen-decompose the sample covariance of a block of tangent vectors.
 
     Exactly one truncation rule applies: a fixed rank, or the smallest rank
     whose eigenvalues explain at least `explained` of the total variance
@@ -117,12 +84,10 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
         raise ValidationError("specify rank or explained, not both")
     if rank is None and explained is None:
         explained = PDF_EXPLAINED_DEFAULT
-    if explained is not None and not 0 < explained <= 1:
-        raise ValidationError(f"explained must lie in (0, 1], got {explained}")
+    _check_explained(explained)
 
-    base = _check_common_base(tangents)
-    proto = tangents[0].v
-    X, w = _samples([t.v for t in tangents])
+    base = tangents.base
+    X, w = _samples(base.f, tangents.values)
     n = X.shape[0]
     root_w = np.sqrt(w)
     _, s, Vt = np.linalg.svd(X * root_w, full_matrices=False)
@@ -147,9 +112,9 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
     # deterministic signs, reshaped back to function samples
     E = Vt[:rank] / root_w
     E *= np.sign(E[np.arange(rank), np.abs(E).argmax(axis=1)])[:, None]
-    if proto.is_planar:
+    if base.f.is_planar:
         E = E.reshape(rank, 2, -1).transpose(0, 2, 1)
-    if proto.periodic:
+    if base.f.periodic:
         E = np.concatenate([E, E[:, :1]], axis=1)
 
     lams = mu[:rank].copy()
@@ -164,12 +129,15 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
     )
 
 
-def coefficients(basis: FpcBasis, tangents) -> CoeffMatrix:
-    """Project tangent vectors on the basis: c_ij = <delta_i, e_j>."""
-    _check_common_base(list(tangents) + [basis.eigenfunctions[0]])
-    X, w = _samples([t.v for t in tangents])
-    E, _ = _samples([e.v for e in basis.eigenfunctions])
-    return CoeffMatrix((X * w) @ E.T)
+def coefficients(basis: FpcBasis, tangents: Tangents) -> np.ndarray:
+    """Project tangent vectors on the basis: c_ij = <delta_i, e_j>, as a
+    read-only (n, r) array."""
+    base = basis.base
+    if tangents.base is not base and norm(tangents.base.f - base.f) > 1e-8:
+        raise ValidationError("tangent vectors are attached to a different base point")
+    X, w = _samples(base.f, tangents.values)
+    E, _ = _samples(base.f, np.stack([e.v.values for e in basis.eigenfunctions]))
+    return _freeze((X * w) @ E.T)
 
 
 @dataclass(frozen=True)
@@ -178,14 +146,14 @@ class TangentModeResult:
 
     kind: str
     mode: str
-    c1: CoeffMatrix
-    c2: CoeffMatrix
+    c1: np.ndarray
+    c2: np.ndarray
     basis_1: FpcBasis
     basis_2: FpcBasis
     mean_1: object
     mean_2: object
-    tangents_1: list
-    tangents_2: list
+    tangents_1: Tangents
+    tangents_2: Tangents
 
 
 def _kind_of(obj) -> str:
@@ -225,6 +193,7 @@ def tangent_mode_pipeline(
     """
     if mode not in ("separate", "pooled", "transport"):
         raise ValidationError(f"unknown tangent mode {mode!r}")
+    _check_explained(explained)
     if len(group_a) != len(group_b):
         raise ValidationError(
             f"paired groups must have equal sizes ({len(group_a)} vs {len(group_b)})"
@@ -243,19 +212,20 @@ def tangent_mode_pipeline(
         return fit_fpca(tangents, rank=rank, explained=explained)
 
     if mode == "pooled":
-        mean_1, tangents = _group_mean_tangents(list(group_a) + list(group_b), kind_a)
-        mean_2, tan_1, tan_2 = mean_1, tangents[:len(group_a)], tangents[len(group_a):]
+        mean_1, pooled = _group_mean_tangents(list(group_a) + list(group_b), kind_a)
+        mean_2 = mean_1
+        halves = np.split(pooled.values, [len(group_a)])
+        tan_1, tan_2 = (Tangents(pooled.base, V) for V in halves)
     else:
         mean_1, tan_1 = _group_mean_tangents(group_a, kind_a)
         mean_2, tan_2 = _group_mean_tangents(group_b, kind_b)
     if mode == "transport":
-        p1, p2 = (m.p if kind_a == "pdf" else m.q for m in (mean_1, mean_2))
-        rows = _transport_rows(np.stack([t.v.values for t in tan_1]), p1, p2)
-        tan_1 = [TangentVector(p2, p2.f.with_values(v)) for v in rows]
+        tan_1 = Tangents(tan_2.base, _transport_rows(tan_1.values, tan_1.base, tan_2.base))
     if mode == "separate":
         basis_1, basis_2 = _fit(tan_1, kind_a), _fit(tan_2, kind_b)
     else:
-        basis_1 = basis_2 = _fit(list(tan_1) + list(tan_2), kind_a)
+        joint = np.concatenate([tan_1.values, tan_2.values])
+        basis_1 = basis_2 = _fit(Tangents(tan_2.base, joint), kind_a)
     return TangentModeResult(
         kind_a if kind_a == kind_b else f"{kind_a}+{kind_b}", mode,
         coefficients(basis_1, tan_1), coefficients(basis_2, tan_2),

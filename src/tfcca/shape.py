@@ -38,8 +38,8 @@ from .numerics import (
     norm,
     trapezoid_weights,
 )
-from .sphere import SpherePoint, TangentVector, exp_map, tangent_at
-from .sphere import _log_rows, _remove_component, _unit_factors
+from .sphere import KarcherMeanResult, SpherePoint, TangentVector, Tangents, exp_map
+from .sphere import _log_rows, _remove_component, _tangent_rows, _unit_factors, tangent_at
 
 # pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
@@ -768,12 +768,12 @@ def preshape_normal_basis(mean: Srvf):
     return p1, p2
 
 
-def _preshape_tangents(mean: Srvf, stars) -> np.ndarray:
-    """Log maps at the mean of registered SRVFs, with the two
-    closure-constraint components removed: an (n, M, 2) array."""
+def _preshape_tangents(mean: Srvf, stars: np.ndarray) -> np.ndarray:
+    """Log maps at the mean of registered SRVF samples stacked as (n, M, 2),
+    with the two closure-constraint components removed: an (n, M, 2) array."""
     base = mean.q.f
     w = trapezoid_weights(base.grid.n_points)
-    V = _log_rows(base.values, np.stack([s.q.f.values for s in stars]), w)
+    V = _log_rows(base.values, stars, w)
     for phi in preshape_normal_basis(mean):
         V = _remove_component(V, phi.values, w)
     return V
@@ -783,20 +783,20 @@ def project_Pi(q, mean: Srvf):
     """Project SRVF(s) onto the pre-shape tangent space at the mean.
 
     Three steps: register to the mean, inverse-exponential map at the mean,
-    then removal of the two closure-constraint components. Accepts a single
-    Srvf or a list; returns TangentVector(s) accordingly. Registration tries
-    two first-round rigid candidates and runs per curve until its round cost
-    stops decreasing (see register_batch).
+    then removal of the two closure-constraint components. A single Srvf
+    gives a TangentVector, a list one Tangents block with a row per SRVF.
+    Registration tries two first-round rigid candidates and runs per curve
+    until its round cost stops decreasing (see register_batch).
     """
     single = isinstance(q, Srvf)
-    qs = [q] if single else list(q)
-    regs = register_batch(mean, qs, rigid_candidates=2)
-    rows = _preshape_tangents(mean, [star for _, star in regs])
-    out = [tangent_at(mean.q, v) for v in rows]
-    return out[0] if single else out
+    regs = register_batch(mean, [q] if single else list(q), rigid_candidates=2)
+    base = mean.q.f
+    V = _preshape_tangents(mean, np.stack([star.q.f.values for _, star in regs]))
+    V = _tangent_rows(base.values, V, trapezoid_weights(base.grid.n_points))
+    return TangentVector(mean.q, base.with_values(V[0])) if single else Tangents(mean.q, V)
 
 
-def shape_karcher_mean(qs: list, return_info: bool = False):
+def shape_karcher_mean(qs: list) -> KarcherMeanResult:
     """Karcher mean shape: registration + tangent averaging fixed point.
 
     Each iteration registers every curve to the current mean (one round, one
@@ -806,30 +806,28 @@ def shape_karcher_mean(qs: list, return_info: bool = False):
     variance trace is non-increasing by construction. Stops on a mean tangent
     of at most KARCHER_TOL, after KARCHER_MAX_ITER iterations, or when the
     variance improves by no more than KARCHER_STAGNATION_RTOL of its value.
+    The result's mean is an Srvf.
     """
     if not qs:
         raise ValidationError("shape_karcher_mean needs at least one SRVF")
     mean = qs[0]
     if len(qs) == 1:
-        if return_info:
-            return mean, {"iterations": 0, "variance_trace": (0.0,),
-                          "gradient_norm": 0.0, "converged": True}
-        return mean
+        return KarcherMeanResult(mean, 0, 0.0, True, (0.0,))
 
     def registered_variance(candidate):
         regs = register_batch(candidate, qs, rounds=1, rigid_candidates=1)
         w = trapezoid_weights(candidate.grid.n_points)
         stars = np.stack([star.q.f.values for _, star in regs])
         ips = (((stars * candidate.q.f.values).sum(axis=-1))[:, None, :] @ w)[:, 0]
-        return float(np.mean(np.square(np.arccos(np.clip(ips, -1, 1))))), regs
+        return float(np.mean(np.square(np.arccos(np.clip(ips, -1, 1))))), stars
 
-    V, regs = registered_variance(mean)
+    V, stars = registered_variance(mean)
     trace = [V]
     gnorm = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, KARCHER_MAX_ITER + 1):
-        rows = _preshape_tangents(mean, [star for _, star in regs])
+        rows = _preshape_tangents(mean, stars)
         direction = tangent_at(mean.q, rows.mean(axis=0))
         gnorm = direction.length
         if gnorm <= KARCHER_TOL:
@@ -838,36 +836,29 @@ def shape_karcher_mean(qs: list, return_info: bool = False):
         for s in (KARCHER_STEP, KARCHER_STEP / 2):
             point = exp_map(mean.q, TangentVector(mean.q, direction.v * s))
             cand = project_to_preshape(point)
-            V_cand, regs_cand = registered_variance(cand)
+            V_cand, stars_cand = registered_variance(cand)
             if V_cand <= V + 1e-12:
                 break
         else:
             break  # stagnated: registration noise dominates
         improvement = V - V_cand
-        mean, V, regs = cand, V_cand, regs_cand
+        mean, V, stars = cand, V_cand, stars_cand
         trace.append(V)
         if improvement <= KARCHER_STAGNATION_RTOL * max(V, 1e-12):
             converged = True
             break
-    if return_info:
-        return mean, {
-            "iterations": iterations,
-            "variance_trace": tuple(trace),
-            "gradient_norm": gnorm,
-            "converged": converged,
-        }
-    return mean
+    return KarcherMeanResult(mean, iterations, gnorm, converged, tuple(trace))
 
 
-def shape_tangent_coordinates(curves: list) -> tuple[Srvf, list]:
+def shape_tangent_coordinates(curves: list) -> tuple[Srvf, Tangents]:
     """Map closed curves into the pre-shape tangent space at their Karcher
     mean: SRVF of every curve, shape_karcher_mean, then project_Pi.
 
     The shape counterpart of density.pdf_tangent_coordinates; returns
-    (mean, tangents).
+    (mean, tangents) with one Tangents row per curve.
     """
     qs = [srvf(c) for c in curves]
-    mean = shape_karcher_mean(qs)
+    mean = shape_karcher_mean(qs).mean
     return mean, project_Pi(qs, mean)
 
 

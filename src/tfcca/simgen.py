@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .fpca import coefficients, tangent_mode_pipeline
 from .numerics import DiscreteFunction, Grid
 from .shape import Curve
-from .sphere import TangentVector, _transport_rows, exp_map
+from .sphere import TangentVector, Tangents, _transport_rows, exp_map
 
 PDF_GROUPS = (1, 2, 3)
 CURVE_REGIMES = ("high", "moderate", "weak")
@@ -294,11 +294,12 @@ def recovery_protocol_shape(
     # transported layout: move group 1's tangent data and its eigenbasis to
     # group 2's tangent space and read the coefficients there; transport is
     # an isometry, so the estimates change only by numerical error
-    b1, target = sep.basis_1, sep.mean_2.q
-    V = np.stack([t.v.values for t in list(sep.tangents_1) + list(b1.eigenfunctions)])
-    rows = _transport_rows(V, sep.mean_1.q, target)
-    moved = [TangentVector(target, target.f.with_values(v)) for v in rows]
-    moved_basis = replace(b1, base=target, eigenfunctions=tuple(moved[n:]))
-    rho_tra = cca(coefficients(moved_basis, moved[:n]), sep.c2).correlations
+    b1, source, target = sep.basis_1, sep.tangents_1.base, sep.tangents_2.base
+    E = np.stack([e.v.values for e in b1.eigenfunctions])
+    rows = _transport_rows(np.concatenate([sep.tangents_1.values, E]), source, target)
+    moved = tuple(TangentVector(target, target.f.with_values(v)) for v in rows[n:])
+    moved_basis = replace(b1, base=target, eigenfunctions=moved)
+    c1 = coefficients(moved_basis, Tangents(target, rows[:n]))
+    rho_tra = cca(c1, sep.c2).correlations
 
     return ShapeRecovery(rho_truth, rho_sep, rho_tra, (locs1, locs2))

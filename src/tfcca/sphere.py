@@ -6,9 +6,9 @@ map is exp_p(v) = cos(|v|) p + sin(|v|) v/|v|, and its inverse is
 log_p(q) = (d / |r|) r. The atan2 form resolves d at both ends, where
 arccos(c) loses every distance below about 1.5e-8. The Karcher mean is
 computed by gradient descent on the variance functional using these maps.
-The log map and transport run on stacked (n, M) or (n, M, 2) sample
-arrays, one row per function; log_map and parallel_transport are one-row
-calls of them.
+The log map, tangent projection and transport run on stacked (n, M) or
+(n, M, 2) sample arrays, one row per function, and log_map, tangent_at and
+parallel_transport are one-row calls of them; Tangents holds such a stack.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AntipodeError, ValidationError
 from .numerics import DiscreteFunction, inner_product, norm, trapezoid_weights
-from .numerics import _check_compatible
+from .numerics import _check_compatible, _freeze
 
 ANTIPODE_MARGIN = 1e-6
 # karcher_mean: the fraction of the mean log map taken per iteration, and
@@ -68,6 +68,35 @@ class TangentVector:
     @property
     def length(self) -> float:
         return norm(self.v)
+
+
+@dataclass(frozen=True, eq=False)
+class Tangents:
+    """n tangent vectors at one base point, the (n, M) or (n, M, 2) rows of
+    values, checked once for shape, finiteness and TangentVector's rule
+    |<v_i, base>| <= 1e-6; values is stored as a read-only copy."""
+
+    base: SpherePoint
+    values: np.ndarray
+
+    def __post_init__(self):
+        f = self.base.f
+        V = _freeze(np.array(self.values, dtype=float))
+        if V.shape[1:] != f.values.shape:
+            raise ValidationError(
+                f"tangent rows {V.shape[1:]} do not match the base {f.values.shape}"
+            )
+        if not np.all(np.isfinite(V)):
+            raise ValidationError("tangent vectors contain non-finite entries")
+        ip = np.abs(_ip_rows(V, f.values, trapezoid_weights(f.grid.n_points))).max(initial=0)
+        if ip > 1e-6:
+            raise ValidationError(
+                f"tangent vectors not orthogonal to base (|<v,p>| = {ip:.3g})"
+            )
+        object.__setattr__(self, "values", V)
+
+    def __len__(self):
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -148,11 +177,23 @@ def log_map(base: SpherePoint, target: SpherePoint) -> TangentVector:
     return TangentVector(base, f.with_values(vals[0]))
 
 
+def _tangent_rows(base_vals: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of V minus their components along the base samples p. Each drift
+    is the one-row quadrature w @ (v * p), bit for bit, which a matrix-vector
+    product over the stack does not reproduce."""
+    prod = V * base_vals
+    if prod.ndim == 3:
+        prod = prod.sum(axis=2)
+    return V - _per_row((prod[:, None, :] @ w)[:, 0], V) * base_vals
+
+
 def tangent_at(base: SpherePoint, values: np.ndarray) -> TangentVector:
-    """Build a tangent vector at base, projecting out any base component."""
-    w = base.f.with_values(np.asarray(values, dtype=float))
-    drift = inner_product(w, base.f)
-    return TangentVector(base, w.with_values(w.values - drift * base.f.values))
+    """Build a tangent vector at base, projecting out any base component;
+    a one-row call of the batched projection."""
+    f = base.f
+    V = f.with_values(values).values[None]
+    V = _tangent_rows(f.values, V, trapezoid_weights(f.grid.n_points))
+    return TangentVector(base, f.with_values(V[0]))
 
 
 def karcher_mean(points: list, tol: float = 1e-6) -> KarcherMeanResult:

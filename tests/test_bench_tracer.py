@@ -40,3 +40,7 @@ def test_tracer_records_registration_attributes(tmp_path):
     # attribute the tracer rebinds, so their passes are counted
     parents = {spans[s["parent"]]["name"] for s in regs}
     assert {"shape.shape_karcher_mean", "shape.project_Pi"} <= parents
+    # fpca.gram_n reads len(tangents): the subject count of each group
+    fits = [s for s in spans if s["name"] == "fpca.fit_fpca"]
+    assert fits
+    assert all(s["attrs"]["n"] == 6 for s in fits)

@@ -249,6 +249,41 @@ class TestCvrCommand:
         assert 0 <= rep["aggregates"]["cindex_mean"] <= 1
         assert rep["cross_validation"]["chosen_eta"] in (0.0, 0.5, 1.0)
 
+    def test_each_jsonl_input_parsed_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1)
+        ids = [f"s{i:04d}" for i in range(14)]
+        for tag in ("a", "b"):
+            (tmp_path / f"{tag}.jsonl").write_text("".join(
+                json.dumps({"id": s, "samples": rng.normal(size=40).tolist()}) + "\n"
+                for s in ids))
+        (tmp_path / "resp.csv").write_text(
+            "id,months\n" + "".join(f"{s},{10 + i}\n" for i, s in enumerate(ids)))
+        calls = []
+        loads = tfcca.cli.json.loads
+
+        def counted(text, *args, **kwargs):
+            calls.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(tfcca.cli.json, "loads", counted)
+        assert run_cli([
+            "cvr", "--input-a", str(tmp_path / "a.jsonl"),
+            "--input-b", str(tmp_path / "b.jsonl"), "--response", str(tmp_path / "resp.csv"),
+            "--d", "1", "--rank", "2", "--grid", "100", "--repeats", "4",
+            "--out", str(tmp_path / "cvr.json"),
+        ]) == 0
+        assert len(calls) == 2 * len(ids)
+
+    def test_report_echoes_shared_options(self, pdf_dataset, tmp_path):
+        argv = self._cvr_argv(pdf_dataset, tmp_path) + ["--curve-grid", "64"]
+        assert run_cli(argv) == 0
+        opts = load_report(str(tmp_path / "cvr.json"))["metadata"]["effective_options"]
+        shared = ("tangent_mode", "rank", "explained", "grid", "curve_grid")
+        assert {k: opts[k] for k in shared} == {
+            "tangent_mode": "separate", "rank": 2, "explained": None,
+            "grid": 300, "curve_grid": 64,
+        }
+
     @staticmethod
     def _cvr_argv(data, tmp_path):
         resp = tmp_path / "resp.csv"

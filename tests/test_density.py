@@ -19,6 +19,7 @@ from tfcca import (
 )
 from tfcca.fpca import fit_fpca
 from tfcca.numerics import trapezoid_weights
+from tfcca.sphere import TangentVector
 
 G = Grid(1000)
 
@@ -104,11 +105,17 @@ class TestEstimatePdf:
         assert integral(p) == pytest.approx(1.0, abs=1e-9)
 
 
+def vectors(tangents):
+    """The rows of a Tangents block as TangentVectors."""
+    base = tangents.base
+    return [TangentVector(base, base.f.with_values(v)) for v in tangents.values]
+
+
 class TestTangentCoordinates:
     def test_identical_pdfs_give_zero_tangents(self):
         p = make_pdf(lambda t: gaussian_mix(t, 0.3, 0.1, 0.7, 0.1))
         mean, tangents = pdf_tangent_coordinates([p, p, p])
-        for v in tangents:
+        for v in vectors(tangents):
             assert v.length < 1e-8
 
     def test_mean_tangent_below_tolerance(self):
@@ -120,13 +127,14 @@ class TestTangentCoordinates:
         mean, tangents = pdf_tangent_coordinates(
             pdfs, karcher_kwargs={"tol": 1e-8}
         )
-        avg = np.mean([v.v.values for v in tangents], axis=0)
+        avg = np.mean(tangents.values, axis=0)
         assert np.sqrt(np.trapezoid(avg ** 2, G.points)) <= 1e-7
 
     def test_two_pdfs_antisymmetric(self):
         p1 = make_pdf(lambda t: gaussian_mix(t, 0.3, 0.1, 0.65, 0.1))
         p2 = make_pdf(lambda t: gaussian_mix(t, 0.3, 0.1, 0.75, 0.1))
-        _, (v1, v2) = pdf_tangent_coordinates([p1, p2], karcher_kwargs={"tol": 1e-9})
+        _, tangents = pdf_tangent_coordinates([p1, p2], karcher_kwargs={"tol": 1e-9})
+        v1, v2 = vectors(tangents)
         np.testing.assert_allclose(v1.v.values, -v2.v.values, atol=1e-6)
 
     def test_reconstruction(self):
@@ -136,7 +144,7 @@ class TestTangentCoordinates:
             for m in rng.uniform(0.6, 0.8, 6)
         ]
         mean, tangents = pdf_tangent_coordinates(pdfs)
-        for p, v in zip(pdfs, tangents):
+        for p, v in zip(pdfs, vectors(tangents)):
             rec = srt_inverse(exp_map(mean.p, v))
             np.testing.assert_allclose(rec.f.values, p.f.values, atol=1e-6)
 

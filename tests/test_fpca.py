@@ -12,7 +12,7 @@ from tfcca import (
     inner_product,
     tangent_mode_pipeline,
 )
-from tfcca.sphere import SpherePoint, tangent_at
+from tfcca.sphere import SpherePoint, Tangents, TangentVector, tangent_at
 
 N = 400
 GRID = Grid(N)
@@ -45,6 +45,17 @@ def smooth_tangents(rng, base, n, n_modes=16, centered=True):
     return [tangent_at(base, v) for v in raw]
 
 
+def block(vectors):
+    """TangentVectors at one base point as the Tangents block fit_fpca takes."""
+    return Tangents(vectors[0].base, np.stack([v.v.values for v in vectors]))
+
+
+def vectors(tangents):
+    """The rows of a Tangents block as TangentVectors."""
+    base = tangents.base
+    return [TangentVector(base, base.f.with_values(v)) for v in tangents.values]
+
+
 def gaussian_mix_pdfs(rng, n):
     t = Grid(500).points
     out = []
@@ -64,7 +75,7 @@ class TestFitFpca:
         tangents = [
             tangent_at(base, c * direction.v.values) for c in (-1.0, 0.5, 2.0, -0.3)
         ]
-        basis = fit_fpca(tangents, rank=1)
+        basis = fit_fpca(block(tangents), rank=1)
         assert basis.rank == 1
         assert basis.explained_fraction == pytest.approx(1.0, abs=1e-8)
 
@@ -72,7 +83,7 @@ class TestFitFpca:
         rng = np.random.default_rng(1)
         base = smooth_base()
         tangents = smooth_tangents(rng, base, 10)
-        basis = fit_fpca(tangents, rank=9)
+        basis = fit_fpca(block(tangents), rank=9)
         total = sum(inner_product(t.v, t.v) for t in tangents) / (len(tangents) - 1)
         assert basis.eigenvalues.sum() == pytest.approx(total, rel=1e-6)
 
@@ -80,8 +91,8 @@ class TestFitFpca:
         rng = np.random.default_rng(2)
         base = smooth_base()
         tangents = smooth_tangents(rng, base, 8)
-        basis = fit_fpca(tangents, rank=7)
-        C = coefficients(basis, tangents).rows
+        basis = fit_fpca(block(tangents), rank=7)
+        C = coefficients(basis, block(tangents))
         for i, t in enumerate(tangents):
             rec = sum(
                 C[i, j] * e.v.values for j, e in enumerate(basis.eigenfunctions)
@@ -91,7 +102,7 @@ class TestFitFpca:
     def test_orthonormal_eigenfunctions(self):
         rng = np.random.default_rng(3)
         base = smooth_base()
-        basis = fit_fpca(smooth_tangents(rng, base, 12), rank=8)
+        basis = fit_fpca(block(smooth_tangents(rng, base, 12)), rank=8)
         for i, ei in enumerate(basis.eigenfunctions):
             for j, ej in enumerate(basis.eigenfunctions):
                 assert inner_product(ei.v, ej.v) == pytest.approx(
@@ -100,7 +111,7 @@ class TestFitFpca:
 
     def test_eigenvalues_nonincreasing(self):
         rng = np.random.default_rng(4)
-        basis = fit_fpca(smooth_tangents(rng, smooth_base(), 15), rank=10)
+        basis = fit_fpca(block(smooth_tangents(rng, smooth_base(), 15)), rank=10)
         assert np.all(np.diff(basis.eigenvalues) <= 1e-15)
 
     def test_gram_oracle_agreement(self):
@@ -109,7 +120,7 @@ class TestFitFpca:
         rng = np.random.default_rng(5)
         base = smooth_base()
         tangents = smooth_tangents(rng, base, 9)
-        basis = fit_fpca(tangents, rank=8)
+        basis = fit_fpca(block(tangents), rank=8)
         X = np.stack([t.v.values for t in tangents])
         w = np.full(N, GRID.spacing)
         w[0] = w[-1] = GRID.spacing / 2
@@ -135,7 +146,7 @@ class TestFitFpca:
                 for k in range(1, 6)
             )
             tangents.append(tangent_at(base, vals))
-        basis = fit_fpca(tangents, rank=6)
+        basis = fit_fpca(block(tangents), rank=6)
         X = np.stack([t.v.values[:-1].T.reshape(-1) for t in tangents])
         root_w = np.sqrt(np.full(X.shape[1], g.spacing))
         C = X.T @ X / (len(tangents) - 1)
@@ -150,8 +161,8 @@ class TestFitFpca:
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(6)
         tangents = smooth_tangents(rng, smooth_base(), 8)
-        b1 = fit_fpca(tangents, rank=5)
-        b2 = fit_fpca(tangents, rank=5)
+        b1 = fit_fpca(block(tangents), rank=5)
+        b2 = fit_fpca(block(tangents), rank=5)
         for e1, e2 in zip(b1.eigenfunctions, b2.eigenfunctions):
             assert np.array_equal(e1.v.values, e2.v.values)
         assert np.array_equal(b1.eigenvalues, b2.eigenvalues)
@@ -160,11 +171,11 @@ class TestFitFpca:
         rng = np.random.default_rng(7)
         tangents = smooth_tangents(rng, smooth_base(), 5)
         with pytest.raises(RankError):
-            fit_fpca(tangents, rank=5)
+            fit_fpca(block(tangents), rank=5)
 
     def test_explained_threshold(self):
         rng = np.random.default_rng(8)
-        tangents = smooth_tangents(rng, smooth_base(), 12)
+        tangents = block(smooth_tangents(rng, smooth_base(), 12))
         basis = fit_fpca(tangents, explained=0.9)
         assert basis.explained_fraction >= 0.9
         smaller = fit_fpca(tangents, rank=basis.rank - 1) if basis.rank > 1 else None
@@ -172,7 +183,7 @@ class TestFitFpca:
             assert smaller.explained_fraction < 0.9
 
     def test_explained_outside_unit_interval_rejected(self):
-        tangents = smooth_tangents(np.random.default_rng(8), smooth_base(), 12)
+        tangents = block(smooth_tangents(np.random.default_rng(8), smooth_base(), 12))
         for bad in (1.5, 1.0 + 1e-9, 0.0, -1.0, np.nan):
             with pytest.raises(ValidationError, match="explained must lie in"):
                 fit_fpca(tangents, explained=bad)
@@ -184,24 +195,24 @@ class TestCoefficients:
         rng = np.random.default_rng(9)
         base = smooth_base()
         tangents = smooth_tangents(rng, base, 6)
-        basis = fit_fpca(tangents, rank=3)
+        basis = fit_fpca(block(tangents), rank=3)
         zero = tangent_at(base, np.zeros(N))
-        C = coefficients(basis, [zero, zero])
-        np.testing.assert_allclose(C.rows, 0.0, atol=1e-15)
+        C = coefficients(basis, block([zero, zero]))
+        np.testing.assert_allclose(C, 0.0, atol=1e-15)
 
     def test_bessel_inequality(self):
         rng = np.random.default_rng(10)
         base = smooth_base()
         tangents = smooth_tangents(rng, base, 10)
-        basis = fit_fpca(tangents, rank=4)
-        C = coefficients(basis, tangents).rows
+        basis = fit_fpca(block(tangents), rank=4)
+        C = coefficients(basis, block(tangents))
         for i, t in enumerate(tangents):
             assert np.linalg.norm(C[i]) <= np.sqrt(inner_product(t.v, t.v)) + 1e-9
 
     def test_eigenfunction_coefficients_are_unit_rows(self):
         rng = np.random.default_rng(11)
-        basis = fit_fpca(smooth_tangents(rng, smooth_base(), 8), rank=4)
-        C = coefficients(basis, list(basis.eigenfunctions)).rows
+        basis = fit_fpca(block(smooth_tangents(rng, smooth_base(), 8)), rank=4)
+        C = coefficients(basis, block(basis.eigenfunctions))
         np.testing.assert_allclose(C, np.eye(4), atol=1e-6)
 
     def test_projection_residual_nonincreasing_in_rank(self):
@@ -211,8 +222,8 @@ class TestCoefficients:
         target = tangents[0]
         prev = np.inf
         for r in range(1, 8):
-            basis = fit_fpca(tangents, rank=r)
-            c = coefficients(basis, [target, tangents[1]]).rows[0]
+            basis = fit_fpca(block(tangents), rank=r)
+            c = coefficients(basis, block([target, tangents[1]]))[0]
             rec = sum(c[j] * e.v.values for j, e in enumerate(basis.eigenfunctions))
             resid = np.sqrt(
                 inner_product(
@@ -229,7 +240,7 @@ class TestTangentModePipeline:
         rng = np.random.default_rng(13)
         pdfs = gaussian_mix_pdfs(rng, 8)
         res = tangent_mode_pipeline(pdfs, pdfs, mode="pooled", rank=2)
-        np.testing.assert_allclose(res.c1.rows, res.c2.rows, atol=1e-10)
+        np.testing.assert_allclose(res.c1, res.c2, atol=1e-10)
 
     def test_transport_preserves_norms(self):
         rng = np.random.default_rng(14)
@@ -237,7 +248,7 @@ class TestTangentModePipeline:
         b = gaussian_mix_pdfs(rng, 8)
         sep = tangent_mode_pipeline(a, b, mode="separate", rank=2)
         tra = tangent_mode_pipeline(a, b, mode="transport", rank=2)
-        for before, after in zip(sep.tangents_1, tra.tangents_1):
+        for before, after in zip(vectors(sep.tangents_1), vectors(tra.tangents_1)):
             assert after.length == pytest.approx(before.length, abs=1e-8)
 
     def test_mixed_kind_pooled_rejected(self):
@@ -252,6 +263,23 @@ class TestTangentModePipeline:
         curves = [Curve(DiscreteFunction(g, vals, periodic=True))] * 4
         with pytest.raises(ValidationError):
             tangent_mode_pipeline(pdfs, curves, mode="pooled")
+
+    def test_explained_checked_before_tangent_coordinates(self, monkeypatch):
+        import tfcca.fpca
+        from tfcca import Curve
+
+        def not_reached(curves):
+            raise AssertionError("tangent coordinates computed before the check")
+
+        monkeypatch.setattr(tfcca.fpca, "shape_tangent_coordinates", not_reached)
+        g = Grid(50)
+        theta = 2 * np.pi * g.points
+        vals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        vals[-1] = vals[0]
+        curves = [Curve(DiscreteFunction(g, vals, periodic=True))] * 4
+        for bad in (1.5, 0.0, np.nan):
+            with pytest.raises(ValidationError, match="explained must lie in"):
+                tangent_mode_pipeline(curves, curves, explained=bad)
 
     def test_unequal_sizes_rejected(self):
         rng = np.random.default_rng(16)

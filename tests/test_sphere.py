@@ -8,6 +8,7 @@ from tfcca import (
     DiscreteFunction,
     Grid,
     SpherePoint,
+    Tangents,
     TangentVector,
     ValidationError,
     exp_map,
@@ -23,6 +24,7 @@ from tfcca.sphere import (
     ANTIPODE_MARGIN,
     _ip_rows,
     _log_rows,
+    _tangent_rows,
     _transport_rows,
     _unit_factors,
     tangent_at,
@@ -293,6 +295,40 @@ class TestBatchedMaps:
             [_ip_rows(V, row, w) for row in V],
             atol=1e-8,
         )
+
+
+class TestTangents:
+    def test_checks_shape_finiteness_and_orthogonality(self):
+        rng = np.random.default_rng(30)
+        base = random_point(rng)
+        V = np.stack([random_tangent(rng, base).v.values for _ in range(5)])
+        block = Tangents(base, V)
+        assert len(block) == 5
+        assert not block.values.flags.writeable and V.flags.writeable
+        for bad_shape in (V[0], V[:, :-1], V[..., None]):
+            with pytest.raises(ValidationError, match="do not match the base"):
+                Tangents(base, bad_shape)
+        bad = V.copy()
+        bad[2, 7] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            Tangents(base, bad)
+        # the rule TangentVector applies to one vector: |<v, base>| <= 1e-6
+        Tangents(base, V + 5e-7 * base.f.values)
+        with pytest.raises(ValidationError, match="not orthogonal"):
+            Tangents(base, V + 2e-6 * base.f.values)
+
+    @pytest.mark.parametrize("n_points,n_rows", [(100, 8), (200, 400), (1000, 64)])
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_tangent_rows_give_each_row_its_one_row_bits(self, n_points, n_rows, planar):
+        rng = np.random.default_rng(n_points + n_rows)
+        shape = (n_points, 2) if planar else (n_points,)
+        base = SpherePoint(DiscreteFunction(
+            Grid(n_points), 1.0 + 0.5 * rng.standard_normal(shape), periodic=planar))
+        V = rng.standard_normal((n_rows,) + shape)
+        rows = _tangent_rows(base.f.values, V, trapezoid_weights(n_points))
+        for row, v in zip(rows, V):
+            drift = inner_product(base.f.with_values(v), base.f)
+            assert np.array_equal(row, v - drift * base.f.values)
 
 
 class TestRoundTripNearBase:
