@@ -21,9 +21,9 @@ from .errors import (
     GeodesicOverflowError,
     ValidationError,
 )
-from .numerics import DEFAULT_PDF_GRID, DiscreteFunction, Grid, trapezoid_weights
+from .numerics import DEFAULT_PDF_GRID, DiscreteFunction, Grid, _integrate_rows
 from .sphere import SpherePoint, TangentVector, Tangents, exp_map, karcher_mean
-from .sphere import _log_rows
+from .sphere import _log_rows, _unit_factors
 
 # Integral drift up to this is renormalized with a warning; beyond is an error.
 MAX_INTEGRAL_DRIFT = 1e-3
@@ -49,7 +49,7 @@ class Pdf:
             if v.min() < -1e-12:
                 raise ValidationError(f"density has negative values (min {v.min():.3g})")
             v = np.maximum(v, 0.0)
-        total = float(trapezoid_weights(self.f.grid.n_points) @ v)
+        total = float(_integrate_rows(v))
         if total <= 0:
             raise ValidationError("density integrates to zero")
         drift = abs(total - 1.0)
@@ -72,7 +72,7 @@ class Pdf:
         v = np.asarray(values, dtype=float)
         if v.min() < 0:
             raise ValidationError("density values must be nonnegative")
-        total = float(trapezoid_weights(grid.n_points) @ v)
+        total = float(_integrate_rows(v))
         if total <= 0:
             raise ValidationError("cannot normalize a zero function")
         return cls(DiscreteFunction(grid, v / total))
@@ -147,17 +147,17 @@ def pdf_tangent_coordinates(
 ) -> tuple[Srt, Tangents]:
     """Map densities into the tangent space at their Karcher mean.
 
-    Applies the square-root transform to every density, computes the Karcher
-    mean of the resulting sphere points, and returns the inverse-exponential
-    images at that mean as one Tangents block, from one batched log map.
+    Applies the square-root transform to the stacked densities at once, with
+    SpherePoint's unit-norm rule, computes the Karcher mean of the stack, and
+    returns the inverse-exponential images at that mean as one Tangents
+    block, from one batched log map.
     """
     if len(pdfs) < 2:
         raise ValidationError("need >= 2 densities")
-    points = [srt(f).p for f in pdfs]
-    mean = Srt(karcher_mean(points, **(karcher_kwargs or {})).mean)
-    f = mean.p.f
-    X = np.stack([p.f.values for p in points])
-    return mean, Tangents(mean.p, _log_rows(f.values, X, trapezoid_weights(f.grid.n_points)))
+    X = np.sqrt(np.stack([f.f.values for f in pdfs]))
+    X *= _unit_factors(np.sqrt(_integrate_rows(X * X)))[:, None]
+    mean = Srt(karcher_mean(X, pdfs[0].grid, **(karcher_kwargs or {})).mean)
+    return mean, Tangents(mean.p, _log_rows(mean.p.f.values, X))
 
 
 def pdf_variate_direction(mean: Srt, basis, weights, epsilons) -> list:

@@ -4,8 +4,10 @@ interpolation and warping on [0,1].
 All functions are sampled on the closed uniform grid t_k = k/(n-1). Closed
 (circle-domain) functions carry periodic=True and store the identified
 endpoint twice, so values[0] == values[-1] by convention. Grid points and
-trapezoid weights are built once per size, read-only; _interp_rows is
-np.interp, bit for bit, on every row of a stack.
+trapezoid weights are built once per size, read-only. _integrate_rows is the
+one quadrature of sampled rows: every L2 inner product, norm and integral
+goes through it, and each row of a stack gets the bits of its own one-row
+integral. _interp_rows is np.interp, bit for bit, on every row of a stack.
 """
 
 from __future__ import annotations
@@ -128,6 +130,12 @@ def trapezoid_weights(n: int) -> np.ndarray:
     return _WEIGHTS[n]
 
 
+def _integrate_rows(F: np.ndarray) -> np.ndarray:
+    """Trapezoid integral over [0,1] of each row along the last axis of F;
+    every row gets the bits of its own w @ f, whatever the leading axes."""
+    return (F[..., None, :] @ trapezoid_weights(F.shape[-1]))[..., 0]
+
+
 def inner_product(a: DiscreteFunction, b: DiscreteFunction) -> float:
     """L2 inner product over [0,1] by trapezoidal quadrature.
 
@@ -138,7 +146,7 @@ def inner_product(a: DiscreteFunction, b: DiscreteFunction) -> float:
     prod = a.values * b.values
     if a.is_planar:
         prod = prod.sum(axis=1)
-    return float(trapezoid_weights(a.grid.n_points) @ prod)
+    return float(_integrate_rows(prod))
 
 
 def norm(a: DiscreteFunction) -> float:

@@ -19,7 +19,8 @@ full-lattice DP whenever the full optimum lies inside the band.
 
 After the DP, registration runs on stacked (B, n[, 2]) arrays, and
 _preshape_rows is the one Newton projection: a row leaves its active set
-once closed, so it gets the bits it would get alone.
+once closed, so it gets the bits it would get alone. Every integral is
+numerics._integrate_rows, so the same holds for every row map here.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from .errors import ConvergenceError, ValidationError
 from .numerics import (
     DiscreteFunction,
     Grid,
+    _integrate_rows,
     _interp_rows,
     derivative,
     inner_product,
     norm,
-    trapezoid_weights,
 )
 from .sphere import KarcherMeanResult, SpherePoint, TangentVector, Tangents, exp_map
-from .sphere import _log_rows, _remove_component, _tangent_rows, _unit_factors, tangent_at
+from .sphere import _log_rows, _remove_component, _unit_factors, tangent_at
 
 # pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
@@ -141,8 +142,7 @@ class Registration:
 def closure_residual(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Componentwise integral q_j(t) |q(t)| dt of (..., n, 2) samples."""
     speed = np.linalg.norm(values, axis=-1)
-    w = trapezoid_weights(grid.n_points)
-    return ((w * speed)[..., None, :] @ values)[..., 0, :]
+    return _integrate_rows(np.swapaxes(values * speed[..., None], -1, -2))
 
 
 def _constraint_gradients(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +160,6 @@ def _preshape_rows(vals, grid: Grid, max_residual: float = 0.5) -> np.ndarray:
     set. Rows must start with a residual norm below max_residual; each step
     removes the residual along the two constraint gradients and renormalizes
     the rows still active."""
-    w = trapezoid_weights(grid.n_points)
     vals = vals.copy()
     res = closure_residual(vals, grid)
     res_norm = np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
@@ -176,13 +175,13 @@ def _preshape_rows(vals, grid: Grid, max_residual: float = 0.5) -> np.ndarray:
             return vals
         v = vals[active]
         g = np.stack(_constraint_gradients(v), axis=1)  # (A, 2, n, 2)
-        J = (w * (g[:, :, None] * g[:, None]).sum(axis=-1)).sum(axis=-1)
+        J = _integrate_rows((g[:, :, None] * g[:, None]).sum(axis=-1))
         try:
             delta = np.linalg.solve(J, -res[active][..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular constraint system in projection")
         v = v + delta[:, 0, None, None] * g[:, 0] + delta[:, 1, None, None] * g[:, 1]
-        v /= np.sqrt((w * (v * v).sum(axis=-1)).sum(axis=-1))[:, None, None]
+        v /= np.sqrt(_integrate_rows((v * v).sum(axis=-1)))[:, None, None]
         vals[active] = v
         res[active] = closure_residual(v, grid)
     raise ConvergenceError(
@@ -236,8 +235,7 @@ def srvf_inverse(q) -> Curve:
         )
     beta = beta - grid.points[:, None] * gap
     beta[-1] = beta[0]
-    w = trapezoid_weights(grid.n_points)
-    beta = beta - (w @ beta)
+    beta = beta - _integrate_rows(beta.T)
     return Curve(DiscreteFunction(grid, beta, periodic=True))
 
 
@@ -280,8 +278,7 @@ def optimal_rotation(q1: Srvf, q2: Srvf) -> np.ndarray:
     v2 = q2.q.f.values if isinstance(q2, Srvf) else q2
     if v1.shape != v2.shape:
         raise ValidationError("SRVFs must share a grid")
-    w = trapezoid_weights(v1.shape[0])
-    A = (v1 * w[:, None]).T @ v2
+    A = _integrate_rows(v1.T[:, None] * v2.T)
     U, _, Vt = np.linalg.svd(A)
     D = np.diag([1.0, float(np.linalg.det(U @ Vt))])
     return U @ D @ Vt
@@ -707,20 +704,19 @@ def register_batch(
     # safeguarded smoothing: the lattice slope set quantizes sqrt(gamma'), so
     # the DP warp oscillates around the smooth optimum; each curve keeps the
     # first of its raw warp and monotone smoothings with the lowest cost
-    w = trapezoid_weights(n)
     rotated = np.einsum("bxy,bty->btx", O_tot, stack)
     warps = np.stack([gamma_tot] + [_smoothed_warp(gamma_tot, grid, width)
                                     for width in _SMOOTH_WIDTHS])  # (C, B, n)
     vals = _warp_action_vals(rotated[None], warps, grid)
     diff = v1 - vals
-    costs = (w * (diff * diff).sum(axis=-1)).sum(axis=-1)
+    costs = _integrate_rows((diff * diff).sum(axis=-1))
     costs[1:][(np.diff(warps[1:], axis=-1) < 0).any(axis=-1)] = np.inf
     pick = costs.argmin(axis=0)
     picked = vals[pick, np.arange(B)]
-    nrm = np.sqrt(np.maximum((((picked * picked).sum(axis=-1))[:, None, :] @ w)[:, 0], 0.0))
+    nrm = np.sqrt(np.maximum(_integrate_rows((picked * picked).sum(axis=-1)), 0.0))
     stars = _preshape_rows(picked * _unit_factors(nrm)[:, None, None], grid)
     diff = v1 - stars
-    final_costs = (w * (diff * diff).sum(axis=-1)).sum(axis=-1)
+    final_costs = _integrate_rows((diff * diff).sum(axis=-1))
     regs = [Registration(O_tot[b], DiscreteFunction(grid, warps[pick[b], b]),
                          float(final_costs[b]), tuple(round_costs[: used[b], b]))
             for b in range(B)]
@@ -771,11 +767,9 @@ def preshape_normal_basis(mean: Srvf):
 def _preshape_tangents(mean: Srvf, stars: np.ndarray) -> np.ndarray:
     """Log maps at the mean of registered SRVF samples stacked as (n, M, 2),
     with the two closure-constraint components removed: an (n, M, 2) array."""
-    base = mean.q.f
-    w = trapezoid_weights(base.grid.n_points)
-    V = _log_rows(base.values, stars, w)
+    V = _log_rows(mean.q.f.values, stars)
     for phi in preshape_normal_basis(mean):
-        V = _remove_component(V, phi.values, w)
+        V = _remove_component(V, phi.values)
     return V
 
 
@@ -792,7 +786,6 @@ def project_Pi(q, mean: Srvf):
     regs = register_batch(mean, [q] if single else list(q), rigid_candidates=2)
     base = mean.q.f
     V = _preshape_tangents(mean, np.stack([star.q.f.values for _, star in regs]))
-    V = _tangent_rows(base.values, V, trapezoid_weights(base.grid.n_points))
     return TangentVector(mean.q, base.with_values(V[0])) if single else Tangents(mean.q, V)
 
 
@@ -816,9 +809,8 @@ def shape_karcher_mean(qs: list) -> KarcherMeanResult:
 
     def registered_variance(candidate):
         regs = register_batch(candidate, qs, rounds=1, rigid_candidates=1)
-        w = trapezoid_weights(candidate.grid.n_points)
         stars = np.stack([star.q.f.values for _, star in regs])
-        ips = (((stars * candidate.q.f.values).sum(axis=-1))[:, None, :] @ w)[:, 0]
+        ips = _integrate_rows((stars * candidate.q.f.values).sum(axis=-1))
         return float(np.mean(np.square(np.arccos(np.clip(ips, -1, 1))))), stars
 
     V, stars = registered_variance(mean)

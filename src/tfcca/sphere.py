@@ -9,6 +9,8 @@ computed by gradient descent on the variance functional using these maps.
 The log map, tangent projection and transport run on stacked (n, M) or
 (n, M, 2) sample arrays, one row per function, and log_map, tangent_at and
 parallel_transport are one-row calls of them; Tangents holds such a stack.
+Every inner product is numerics._integrate_rows, so each row of a stacked
+map gets exactly the bits of its one-row call.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntipodeError, ValidationError
-from .numerics import DiscreteFunction, inner_product, norm, trapezoid_weights
-from .numerics import _check_compatible, _freeze
+from .numerics import DiscreteFunction, Grid, inner_product, norm
+from .numerics import _check_compatible, _freeze, _integrate_rows
 
 ANTIPODE_MARGIN = 1e-6
 # karcher_mean: the fraction of the mean log map taken per iteration, and
@@ -88,7 +90,7 @@ class Tangents:
             )
         if not np.all(np.isfinite(V)):
             raise ValidationError("tangent vectors contain non-finite entries")
-        ip = np.abs(_ip_rows(V, f.values, trapezoid_weights(f.grid.n_points))).max(initial=0)
+        ip = np.abs(_ip_rows(V, f.values)).max(initial=0)
         if ip > 1e-6:
             raise ValidationError(
                 f"tangent vectors not orthogonal to base (|<v,p>| = {ip:.3g})"
@@ -112,8 +114,7 @@ def geodesic_distance(p1: SpherePoint, p2: SpherePoint) -> float:
     """Great-circle distance atan2(|p2 - c p1|, c) with c = <p1, p2>, in
     [0, pi]."""
     _check_compatible(p1.f, p2.f)
-    w = trapezoid_weights(p1.grid.n_points)
-    return float(_angle_rows(p1.f.values, p2.f.values[None], w)[2][0])
+    return float(_angle_rows(p1.f.values, p2.f.values[None])[2][0])
 
 
 def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
@@ -127,12 +128,12 @@ def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
     return SpherePoint(DiscreteFunction(base.f.grid, vals, base.f.periodic))
 
 
-def _ip_rows(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Inner products under weights w of the rows of X with y (or its rows)."""
+def _ip_rows(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L2 inner products of the rows of X with y (or its rows)."""
     prod = X * y
     if prod.ndim == 3:
         prod = prod.sum(axis=2)
-    return prod @ w
+    return _integrate_rows(prod)
 
 
 def _per_row(a: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -140,87 +141,74 @@ def _per_row(a: np.ndarray, X: np.ndarray) -> np.ndarray:
     return a.reshape((-1,) + (1,) * (X.ndim - 1))
 
 
-def _remove_component(V: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _remove_component(V: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Rows of V minus their components along the unit-norm function e."""
-    return V - _per_row(_ip_rows(V, e, w), V) * e
+    return V - _per_row(_ip_rows(V, e), V) * e
 
 
-def _angle_rows(base_vals: np.ndarray, X: np.ndarray, w: np.ndarray):
+def _angle_rows(base_vals: np.ndarray, X: np.ndarray):
     """For each row x of X and the base samples p: the part r = x - <x, p> p
     orthogonal to p, its norm s and the angle d = atan2(s, <x, p>)."""
-    c = _ip_rows(X, base_vals, w)
+    c = _ip_rows(X, base_vals)
     R = X - _per_row(c, X) * base_vals
-    s = np.sqrt(_ip_rows(R, R, w))
+    s = np.sqrt(_ip_rows(R, R))
     return R, s, np.arctan2(s, c)
 
 
-def _log_rows(base_vals: np.ndarray, X: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _log_rows(base_vals: np.ndarray, X: np.ndarray) -> np.ndarray:
     """log_p(x) = (d / s) r for each row x of X (see _angle_rows), with p the
-    samples base_vals and w the quadrature weights; quadrature-level drift
-    along p is removed, and a row near the antipode raises AntipodeError."""
-    R, s, d = _angle_rows(base_vals, X, w)
+    samples base_vals; quadrature-level drift along p is removed, and a row
+    near the antipode raises AntipodeError. Each row gets the bits of its
+    one-row call."""
+    R, s, d = _angle_rows(base_vals, X)
     if d.max() >= np.pi - ANTIPODE_MARGIN:
         raise AntipodeError(f"antipode: d(base, target) = {d.max():.8f} >= pi - 1e-6")
     R *= _per_row(np.divide(d, s, out=np.zeros_like(d), where=s > 0), X)
-    return _remove_component(R, base_vals, w)
+    return _remove_component(R, base_vals)
 
 
 def log_map(base: SpherePoint, target: SpherePoint) -> TangentVector:
     """Inverse exponential map; undefined near the antipode of base.
 
     A one-row call of the batched log map behind karcher_mean and the
-    density and shape tangent coordinates.
+    density and shape tangent coordinates, which gives every row of a stack
+    the bits this call gives it.
     """
     f = base.f
     _check_compatible(f, target.f)
-    vals = _log_rows(f.values, target.f.values[None], trapezoid_weights(f.grid.n_points))
+    vals = _log_rows(f.values, target.f.values[None])
     return TangentVector(base, f.with_values(vals[0]))
-
-
-def _tangent_rows(base_vals: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows of V minus their components along the base samples p. Each drift
-    is the one-row quadrature w @ (v * p), bit for bit, which a matrix-vector
-    product over the stack does not reproduce."""
-    prod = V * base_vals
-    if prod.ndim == 3:
-        prod = prod.sum(axis=2)
-    return V - _per_row((prod[:, None, :] @ w)[:, 0], V) * base_vals
 
 
 def tangent_at(base: SpherePoint, values: np.ndarray) -> TangentVector:
     """Build a tangent vector at base, projecting out any base component;
     a one-row call of the batched projection."""
     f = base.f
-    V = f.with_values(values).values[None]
-    V = _tangent_rows(f.values, V, trapezoid_weights(f.grid.n_points))
+    V = _remove_component(f.with_values(values).values[None], f.values)
     return TangentVector(base, f.with_values(V[0]))
 
 
-def karcher_mean(points: list, tol: float = 1e-6) -> KarcherMeanResult:
+def karcher_mean(stack: np.ndarray, grid: Grid, tol: float = 1e-6) -> KarcherMeanResult:
     """Karcher (Frechet) mean on the sphere by tangent-space averaging.
 
-    Iterates p <- exp_p(KARCHER_STEP * mean_i log_p(p_i)) from the
+    stack holds the (n, M) samples on grid of n unit-norm functions, one
+    row each. Iterates p <- exp_p(KARCHER_STEP * mean_i log_p(p_i)) from the
     renormalized extrinsic average until the gradient norm drops below tol,
-    taking all log maps in one call on the stacked samples. Non-convergence
-    after KARCHER_MAX_ITER iterations is flagged in the result rather than
-    raised.
+    taking all log maps in one call on the stack. Non-convergence after
+    KARCHER_MAX_ITER iterations is flagged in the result rather than raised.
     """
-    if not points:
+    if len(stack) == 0:
         raise ValidationError("karcher_mean needs at least one point")
-    if len(points) == 1:
-        return KarcherMeanResult(points[0], 0, 0.0, True, (0.0,))
-
-    proto = points[0].f
-    stack = np.stack([p.f.values for p in points])
-    w = trapezoid_weights(proto.grid.n_points)
-    mean = SpherePoint(DiscreteFunction(proto.grid, stack.mean(axis=0), proto.periodic))
+    mean = SpherePoint(DiscreteFunction(grid, stack.mean(axis=0)))
+    if len(stack) == 1:
+        return KarcherMeanResult(mean, 0, 0.0, True, (0.0,))
 
     variance_trace = []
     grad_norm = np.inf
     iterations = 0
     for iterations in range(1, KARCHER_MAX_ITER + 1):
-        logs = _log_rows(mean.f.values, stack, w)
-        variance_trace.append(float(np.mean(np.maximum(_ip_rows(logs, logs, w), 0.0))))
+        logs = _log_rows(mean.f.values, stack)
+        variance_trace.append(float(np.mean(np.maximum(_ip_rows(logs, logs), 0.0))))
         direction = tangent_at(mean, logs.mean(axis=0))
         grad_norm = direction.length
         if grad_norm <= tol:
@@ -244,11 +232,10 @@ def _transport_rows(
         return V
     if d >= np.pi - ANTIPODE_MARGIN:
         raise AntipodeError("cannot transport to the antipode")
-    w = trapezoid_weights(target.f.grid.n_points)
     p, q = source.f.values, target.f.values
-    u = _log_rows(p, q[None], w)[0]
-    V = V - _per_row(_ip_rows(V, u, w) * (np.tan(d / 2) / d), V) * (p + q)
-    return _remove_component(V, q, w)
+    u = _log_rows(p, q[None])[0]
+    V = V - _per_row(_ip_rows(V, u) * (np.tan(d / 2) / d), V) * (p + q)
+    return _remove_component(V, q)
 
 
 def parallel_transport(

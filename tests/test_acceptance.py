@@ -139,7 +139,7 @@ def test_criterion_3_geometry_suite():
 
     # Karcher mean: first-order condition and monotone variance
     pts = [random_point() for _ in range(15)]
-    res = karcher_mean(pts, tol=1e-7)
+    res = karcher_mean(np.stack([p.f.values for p in pts]), grid, tol=1e-7)
     grad = np.mean([log_map(res.mean, p).v.values for p in pts], axis=0)
     gnorm = np.sqrt(np.trapezoid(grad * grad, grid.points))
     checks.append((f"Karcher gradient {gnorm:.2e} <= tol", gnorm <= 1e-7 + 1e-12))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from tfcca import (
     norm,
     resample,
 )
-from tfcca.numerics import _interp_rows, trapezoid_weights
+from tfcca.numerics import _integrate_rows, _interp_rows, trapezoid_weights
 
 
 def f_on(n, fn, periodic=False):
@@ -80,6 +82,27 @@ class TestInnerProduct:
             a = f_on(n, lambda t: 3.0 * t - 0.7)
             one = f_on(n, lambda t: np.ones_like(t))
             assert inner_product(a, one) == pytest.approx(0.8, abs=1e-12)
+
+
+class TestIntegrateRows:
+    @pytest.mark.parametrize("n", [3, 100, 1000])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+    def test_each_row_gets_the_bits_of_its_own_quadrature(self, n, lead):
+        rng = np.random.default_rng(n + len(lead))
+        F = rng.standard_normal(lead + (n,))
+        w = trapezoid_weights(n)
+        got = _integrate_rows(F)
+        assert got.shape == lead
+        rows = F.reshape(-1, n)
+        assert np.array_equal(got.reshape(-1), [w @ f for f in rows])
+
+    def test_quadrature_rule_lives_in_numerics(self):
+        # fpca keeps the weights for its weighted SVD and projection GEMM;
+        # every other module integrates through _integrate_rows
+        src = Path(__file__).resolve().parents[1] / "src" / "tfcca"
+        users = sorted(p.name for p in src.glob("*.py")
+                       if "trapezoid_weights" in p.read_text())
+        assert users == ["fpca.py", "numerics.py"]
 
 
 class TestNorm:

@@ -19,12 +19,11 @@ from tfcca import (
     norm,
     parallel_transport,
 )
-from tfcca.numerics import trapezoid_weights
 from tfcca.sphere import (
     ANTIPODE_MARGIN,
     _ip_rows,
     _log_rows,
-    _tangent_rows,
+    _remove_component,
     _transport_rows,
     _unit_factors,
     tangent_at,
@@ -45,6 +44,10 @@ def random_point(rng, concentration=0.25) -> SpherePoint:
 
 def random_tangent(rng, base: SpherePoint, scale=1.0) -> TangentVector:
     return tangent_at(base, scale * rng.standard_normal(N))
+
+
+def stacked(points) -> np.ndarray:
+    return np.stack([p.f.values for p in points])
 
 
 class TestDistance:
@@ -148,14 +151,14 @@ class TestExpLog:
 class TestKarcherMean:
     def test_single_point(self):
         p = point(lambda t: 1 + t)
-        res = karcher_mean([p])
+        res = karcher_mean(stacked([p]), GRID)
         assert res.iterations == 0
         assert res.converged
         np.testing.assert_allclose(res.mean.f.values, p.f.values, atol=1e-12)
 
     def test_repeated_point(self):
         p = point(lambda t: 2 - t)
-        res = karcher_mean([p, p, p])
+        res = karcher_mean(stacked([p, p, p]), GRID)
         assert res.converged
         # arccos near 1 resolves to sqrt(machine eps) at best
         assert geodesic_distance(res.mean, p) < 1e-7
@@ -163,7 +166,7 @@ class TestKarcherMean:
     def test_two_points_midpoint(self):
         rng = np.random.default_rng(23)
         p, q = random_point(rng), random_point(rng)
-        res = karcher_mean([p, q], tol=1e-10)
+        res = karcher_mean(stacked([p, q]), GRID, tol=1e-10)
         assert res.converged
         d1 = geodesic_distance(res.mean, p)
         d2 = geodesic_distance(res.mean, q)
@@ -172,7 +175,7 @@ class TestKarcherMean:
     def test_first_order_condition(self):
         rng = np.random.default_rng(29)
         pts = [random_point(rng) for _ in range(12)]
-        res = karcher_mean(pts, tol=1e-7)
+        res = karcher_mean(stacked(pts), GRID, tol=1e-7)
         assert res.converged
         logs = np.mean([log_map(res.mean, p).v.values for p in pts], axis=0)
         g = norm(DiscreteFunction(GRID, logs))
@@ -181,7 +184,7 @@ class TestKarcherMean:
     def test_variance_monotone(self):
         rng = np.random.default_rng(31)
         pts = [random_point(rng, 0.4) for _ in range(10)]
-        res = karcher_mean(pts)
+        res = karcher_mean(stacked(pts), GRID)
         trace = np.array(res.variance_trace)
         assert np.all(np.diff(trace) <= 1e-10)
 
@@ -228,8 +231,8 @@ class TestParallelTransport:
 
 @st.composite
 def batch_on_sphere(draw):
-    """A base point, sample rows at geodesic distances below the antipode
-    margin, and the quadrature weights, on a random scalar or planar grid."""
+    """A base point and sample rows at geodesic distances below the antipode
+    margin, on a random scalar or planar grid."""
     n_points = draw(st.integers(5, 120))
     planar = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -242,7 +245,7 @@ def batch_on_sphere(draw):
     for s in scales:
         v = tangent_at(base, rng.standard_normal(shape))
         rows.append(exp_map(base, TangentVector(base, v.v * (s / v.length))))
-    return base, rows, trapezoid_weights(n_points)
+    return base, rows
 
 
 def batch_at_distances(distances):
@@ -257,7 +260,7 @@ def batch_at_distances(distances):
     for s in distances:
         v = tangent_at(base, rng.standard_normal(n_points))
         rows.append(exp_map(base, TangentVector(base, v.v * (s / v.length))))
-    return base, rows, trapezoid_weights(n_points)
+    return base, rows
 
 
 class TestBatchedMaps:
@@ -267,11 +270,10 @@ class TestBatchedMaps:
     # product can resolve; random draws land there only rarely
     @example(batch_at_distances((1e-9, 1.0, 2.0)))
     def test_log_rows_match_log_map(self, batch):
-        base, points, w = batch
-        X = np.stack([p.f.values for p in points])
-        V = _log_rows(base.f.values, X, w)
+        base, points = batch
+        V = _log_rows(base.f.values, stacked(points))
         for row, p in zip(V, points):
-            np.testing.assert_allclose(row, log_map(base, p).v.values, atol=1e-12)
+            assert np.array_equal(row, log_map(base, p).v.values)
 
     @settings(max_examples=60, deadline=None)
     @given(batch_on_sphere(), st.integers(0, 2**32 - 1))
@@ -279,7 +281,7 @@ class TestBatchedMaps:
     # the transport lost the isometry
     @example(batch_at_distances((1e-11, 1.0)), 0)
     def test_transport_rows_match_and_keep_inner_products(self, batch, seed):
-        source, points, w = batch
+        source, points = batch
         target = points[0]
         rng = np.random.default_rng(seed)
         vectors = [tangent_at(source, rng.standard_normal(source.f.values.shape))
@@ -287,12 +289,10 @@ class TestBatchedMaps:
         V = np.stack([v.v.values for v in vectors])
         moved = _transport_rows(V, source, target)
         for row, v in zip(moved, vectors):
-            np.testing.assert_allclose(
-                row, parallel_transport(v, source, target).v.values, atol=1e-12
-            )
+            assert np.array_equal(row, parallel_transport(v, source, target).v.values)
         np.testing.assert_allclose(
-            [_ip_rows(moved, row, w) for row in moved],
-            [_ip_rows(V, row, w) for row in V],
+            [_ip_rows(moved, row) for row in moved],
+            [_ip_rows(V, row) for row in V],
             atol=1e-8,
         )
 
@@ -325,10 +325,21 @@ class TestTangents:
         base = SpherePoint(DiscreteFunction(
             Grid(n_points), 1.0 + 0.5 * rng.standard_normal(shape), periodic=planar))
         V = rng.standard_normal((n_rows,) + shape)
-        rows = _tangent_rows(base.f.values, V, trapezoid_weights(n_points))
-        for row, v in zip(rows, V):
+        rows = _remove_component(V, base.f.values)
+        ips = _ip_rows(V, base.f.values)
+        for row, ip, v in zip(rows, ips, V):
             drift = inner_product(base.f.with_values(v), base.f)
+            assert ip == drift
             assert np.array_equal(row, v - drift * base.f.values)
+        # the log map and the transport give each row its one-row bits too
+        points = [SpherePoint(base.f + base.f.with_values(0.5 * v)) for v in V]
+        logs = _log_rows(base.f.values, stacked(points))
+        moved = _transport_rows(rows, base, points[0])
+        for log, row, move, p in zip(logs, rows, moved, points):
+            assert np.array_equal(log, log_map(base, p).v.values)
+            one = parallel_transport(TangentVector(base, base.f.with_values(row)),
+                                     base, points[0])
+            assert np.array_equal(move, one.v.values)
 
 
 class TestRoundTripNearBase:
