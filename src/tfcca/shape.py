@@ -9,13 +9,15 @@ decreasing, and the shape distance is the arc length between registered
 representatives.
 
 The DP core is vectorized across curves and seed offsets, and it searches
-only a band of the lattice: the nodes within DP_BAND cells of the diagonal,
-held in band coordinates (row i, diagonal k = j - i). Every seed reads its
-band as a slice of one cost table, and each lattice row is one stacked
-update over all slopes. A curve whose optimal path touches the band edge is
-redone with the band doubled, up to the full lattice; optimal_warp is the
-case of a band as wide as the grid. The banded result equals the
-full-lattice DP whenever the full optimum lies inside the band.
+only a band of the lattice: the nodes within DP_BAND = 4 cells of the
+diagonal, held in band coordinates (row i, diagonal k = j - i). After rigid
+alignment the paths stay close to the diagonal (on grid 200, within 2 cells
+in Karcher passes and within 5 in project_Pi). Every seed reads its band as
+a slice of one cost table, and each lattice row is one stacked update over
+all slopes. A curve whose optimal path touches the band edge is redone with
+the band doubled, up to the full lattice; optimal_warp is the case of a band
+as wide as the grid. The banded result equals the full-lattice DP whenever
+the full optimum lies inside the final band.
 
 After the DP, registration runs on stacked (B, n[, 2]) arrays, and
 _preshape_rows is the one Newton projection: a row leaves its active set
@@ -64,7 +66,7 @@ SLOPES = ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1),
 _BIG = 1e30
 # half-width |j - i| of the lattice band the DP starts from; a curve whose
 # path touches the band edge is redone with the band doubled
-DP_BAND = 16
+DP_BAND = 4
 # lattice cells (rows x band width x seeds x curves) per DP pass
 DP_CELLS = 1 << 20
 
@@ -492,9 +494,11 @@ def _dp_align_batch(q1_vals: np.ndarray, q2_stack: np.ndarray, offsets: np.ndarr
     slopes and the first slope attaining it (the same rule as a strict `<`
     over SLOPES in order). Unreachable nodes keep _BIG and choice -1.
 
-    The band starts at `band` cells (DP_BAND). A curve whose winning path
-    touches |k| = band is redone with the band doubled, up to the full
-    lattice at band >= m, which is what optimal_warp asks for. The result
+    The band starts at `band` cells (DP_BAND = 4, which holds the 2-cell
+    paths of Karcher passes; the up to 5-cell paths of project_Pi take one
+    redo). A curve whose winning path touches |k| = band is redone with the
+    band doubled, up to the full lattice at band >= m, which is what
+    optimal_warp asks for. The start band changes only the work: the result
     equals the full-lattice DP whenever the full optimum lies inside the
     final band. It is not guaranteed otherwise: a full optimum outside the
     band goes unseen when the band's own best path stays off its edge.

@@ -78,8 +78,11 @@ class CurveSimSpec:
     def __post_init__(self):
         if self.regime not in CURVE_REGIMES:
             raise ValidationError(f"regime must be one of {CURVE_REGIMES}")
-        if self.n < 2:
-            raise ValidationError("n must be >= 2")
+        if self.n < 3:
+            # two centred draws span one direction, so the second latent,
+            # orthogonalized against the first, would be zero
+            raise ValidationError(
+                "n must be >= 3: the paired latents need two centred directions")
 
 
 def _normal_pdf(t, mu, sigma):

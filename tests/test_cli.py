@@ -509,6 +509,9 @@ MALFORMED = [
      "explained must lie in (0, 1], got 1.5"),
     ("negative directions", {}, ["pdf-cca", "--directions", "-1"] + PDF_ARGV,
      "--directions must be >= 0, got -1"),
+    ("two simulated curves", {},
+     ["simulate", "shape", "--n", "2", "--curve-grid", "60", "--out-dir", "{tmp}/sim"],
+     "n must be >= 3"),
 ]
 
 

@@ -350,16 +350,26 @@ class TestBandedDp:
 
     def test_banded_equals_full_lattice_on_acceptance_curves(self, monkeypatch):
         banded = shape_module._dp_align_batch
+        band_pass = shape_module._dp_band_pass
+        passes = []  # (band, curves) of every DP pass
         curves_seen = []
+        curves_redone = []  # curve DPs rerun at a band wider than DP_BAND
+
+        def counted_pass(q1, q2, offsets, band):
+            passes.append((band, q2.shape[0]))
+            return band_pass(q1, q2, offsets, band)
 
         def banded_and_full(q1, q2, offsets):
+            first = len(passes)
             gammas, costs = banded(q1, q2, offsets)
+            curves_redone.append(sum(c for band, c in passes[first:] if band > DP_BAND))
             full_gammas, full_costs = banded(q1, q2, offsets, band=q1.shape[0] - 1)
             np.testing.assert_array_equal(costs, full_costs)
             np.testing.assert_array_equal(gammas, full_gammas)
             curves_seen.append(q2.shape[0])
             return gammas, costs
 
+        monkeypatch.setattr(shape_module, "_dp_band_pass", counted_pass)
         monkeypatch.setattr(shape_module, "_dp_align_batch", banded_and_full)
         # criterion 4: the first contour pairs of its random stream, both
         # registration directions
@@ -373,12 +383,16 @@ class TestBandedDp:
                                          shift=rng.uniform(0, 1), **shape))
             shape_distance(base, moved)
         # criterion 2: curves of both regimes registered to their group's
-        # first curve, the Karcher mean's starting point
+        # first curve, the Karcher mean's starting point, then the mean's
+        # passes and project_Pi onto the mean (2 candidates, up to 8 rounds)
         for regime in ("high", "weak"):
             spec = CurveSimSpec(regime, 100, Grid(200), rng_seed=1)
             qs = [srvf(c) for c in gen_curve_group(spec, 1)[0][:7]]
             register_batch(qs[0], qs[1:])
+            project_Pi(qs, shape_karcher_mean(qs).mean)
         assert sum(curves_seen) > 50
+        # the gate covers the band's fallback, not only paths inside the band
+        assert sum(curves_redone) > 0
 
 
 class TestRegister:

@@ -95,6 +95,12 @@ class TestCurveGenerator:
         spread2 = np.std([bump_mass(c) for c in curves2])
         assert spread2 > 3 * spread1
 
+    def test_two_curves_rejected_three_suffice(self):
+        with pytest.raises(ValidationError, match="n must be >= 3"):
+            CurveSimSpec("high", 2)
+        _, locs = gen_curve_group(CurveSimSpec("high", 3, Grid(60)), 2)
+        assert np.isfinite(locs).all()
+
     def test_reproducible(self):
         spec = CurveSimSpec("weak", 5, Grid(100), rng_seed=9)
         a, la = gen_curve_group(spec, 2)
