@@ -53,24 +53,56 @@ def _read_lines(path: str) -> list:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _table_fault(path: str, lines: list, width: int):
+    """Why the data lines of a density table do not parse, naming the first
+    bad line, or None if each has the header's width of float() numbers.
+
+    Runs only after the bulk parse has failed: it keeps the messages of a
+    per-cell parse without paying for one on good input."""
+    rows = [next(csv.reader([line]), []) for line in lines[1:]]
+    for k, row in enumerate(rows, 2):
+        if len(row) != width:
+            return f"{path}:{k}: {len(row)} cells, the header has {width}"
+    try:
+        for row in rows:
+            for x in row:
+                float(x)
+    except ValueError as exc:
+        return f"{path}: non-numeric cell ({exc})"
+    return None
+
+
+def _parse_pdf_table(path: str, lines: list):
+    """Header ids and the float table of a density CSV, parsed in one pass."""
+    header = next(csv.reader(lines[:1]), [])
+    if len(lines) < 4 or len(header) < 2:
+        raise ValidationError(f"{path}: need a header row and >= 3 data rows")
+    try:
+        with warnings.catch_warnings():
+            # when every data line is blank; the scan names the first one
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(lines[1:], delimiter=",", quotechar='"',
+                              comments=None, ndmin=2)
+    except ValueError as exc:
+        fault = f"{path}: non-numeric cell ({exc})"
+    else:
+        if data.shape == (len(lines) - 1, len(header)):
+            return [c.strip() for c in header[1:]], data
+        fault = f"{path}: {len(data)} table rows on {len(lines) - 1} data lines"
+    raise ValidationError(_table_fault(path, lines, len(header)) or fault)
+
+
 def _read_pdf_csv(path: str, grid_size: int):
     """CSV: first column grid values in [0,1], one column per subject."""
-    rows = list(csv.reader(_read_lines(path)))
-    if len(rows) < 4 or len(rows[0]) < 2:
-        raise ValidationError(f"{path}: need a header row and >= 3 data rows")
-    ids = [c.strip() for c in rows[0][1:]]
-    for k, row in enumerate(rows[1:], 2):
-        if len(row) != len(rows[0]):
-            raise ValidationError(
-                f"{path}:{k}: {len(row)} cells, the header has {len(rows[0])}"
-            )
-    try:
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell ({exc})") from None
+    ids, data = _parse_pdf_table(path, _read_lines(path))
     t = data[:, 0]
-    if abs(t[0]) > 1e-9 or abs(t[-1] - 1.0) > 1e-9 or np.any(np.diff(t) <= 0):
+    if (not np.all(np.isfinite(t)) or abs(t[0]) > 1e-9
+            or abs(t[-1] - 1.0) > 1e-9 or not np.all(np.diff(t) > 0)):
         raise ValidationError(f"{path}: first column must increase from 0 to 1")
+    finite = np.isfinite(data[:, 1:]).all(axis=0)
+    if not finite.all():
+        sid = ids[int(np.argmin(finite))]
+        raise ValidationError(f"{path}: subject {sid!r} has a non-finite value")
     grid = Grid(grid_size)
     out = {}
     for j, sid in enumerate(ids):
@@ -184,7 +216,8 @@ def _pair_by_id(objs_a: dict, objs_b: dict):
 def _ingest(kind_a, kind_b, path_a, path_b, args):
     """Load input A, then input B (see _load_functional), and pair them by id.
 
-    Returns the ids, both groups in id order and the ingestion metadata.
+    Returns the ids and both groups in input-A order, and the ingestion
+    metadata.
     """
     objs_a, meta_a = _load_functional(path_a, kind_a, args)
     objs_b, meta_b = _load_functional(path_b, kind_b, args)

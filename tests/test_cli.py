@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfcca.cli
 import tfcca.cvr
@@ -448,10 +451,35 @@ class TestDeterminism:
 
 
 GOOD_RESPONSE = ["id,months"] + [f"s{i:04d},{10 + i}" for i in range(14)]
-RAGGED_PDF_HEADER = ["t,s1,s2,s3"]
+PDF_HEADER = "t,s1,s2,s3"
+PDF_ROWS = ["0,1,1,1", "0.5,1,1,1", "1,1,1,1"]
 NOT_UTF8 = b"\xff\xfe\x00bad\n"
 PDF_ARGV = ["--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
             "--rank", "2", "--grid", "300", "--out", "{tmp}/r.json"]
+
+# (case, lines of a density CSV, text the reason must contain)
+BAD_PDF_TABLES = [
+    ("csv header names more subjects than the rows have",
+     [PDF_HEADER, "0,1,1", "0.5,1,1", "1,1,1"], "pdf.csv:2: 3 cells, the header has 4"),
+    ("csv row with a missing cell",
+     [PDF_HEADER, "0,1,1,1", "0.5,1,1", "1,1,1,1"], "pdf.csv:3: 3 cells, the header has 4"),
+    ("csv with only a header", [PDF_HEADER], "pdf.csv: need a header row and >= 3 data rows"),
+    ("empty csv", [], "pdf.csv: need a header row and >= 3 data rows"),
+    ("csv with blank data lines", [PDF_HEADER, "", "", ""],
+     "pdf.csv:2: 0 cells, the header has 4"),
+    ("csv with a blank line inside", [PDF_HEADER, PDF_ROWS[0], ""] + PDF_ROWS[1:],
+     "pdf.csv:3: 0 cells, the header has 4"),
+    ("csv with a blank line at the end", [PDF_HEADER] + PDF_ROWS + [""],
+     "pdf.csv:5: 0 cells, the header has 4"),
+    ("csv row with a trailing comma", [PDF_HEADER, PDF_ROWS[0] + ","] + PDF_ROWS[1:],
+     "pdf.csv:2: 5 cells, the header has 4"),
+    ("csv cell with a digit-grouping underscore",
+     [PDF_HEADER, PDF_ROWS[0], "0.5,1_0,1,1", PDF_ROWS[2]], "pdf.csv: non-numeric cell"),
+    ("csv grid value NaN", [PDF_HEADER, PDF_ROWS[0], "nan,1,1,1", PDF_ROWS[2]],
+     "pdf.csv: first column must increase from 0 to 1"),
+    ("csv density value NaN", [PDF_HEADER, PDF_ROWS[0], "0.5,1,nan,1", PDF_ROWS[2]],
+     "pdf.csv: subject 's2' has a non-finite value"),
+]
 
 # (case, files to write as lines or raw bytes, argv, text the reason must
 # contain); "{data}" is the simulated pdf dataset and "{tmp}" the test's
@@ -486,14 +514,6 @@ MALFORMED = [
     ("unwritable output", {"file": []},
      ["pdf-cca", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
       "--rank", "2", "--grid", "300", "--out", "{tmp}/file/r.json"], "{tmp}/file"),
-    ("csv header names more subjects than the rows have",
-     {"pdf.csv": RAGGED_PDF_HEADER + ["0,1,1", "0.5,1,1", "1,1,1"]},
-     ["pdf-cca", "--input-a", "{tmp}/pdf.csv", "--input-b", "{tmp}/pdf.csv",
-      "--out", "{tmp}/r.json"], "pdf.csv:2: 3 cells, the header has 4"),
-    ("csv row with a missing cell",
-     {"pdf.csv": RAGGED_PDF_HEADER + ["0,1,1,1", "0.5,1,1", "1,1,1,1"]},
-     ["pdf-cca", "--input-a", "{tmp}/pdf.csv", "--input-b", "{tmp}/pdf.csv",
-      "--out", "{tmp}/r.json"], "pdf.csv:3: 3 cells, the header has 4"),
     ("non-UTF-8 csv input", {"bin.csv": NOT_UTF8},
      ["pdf-cca", "--input-a", "{data}/group_a.csv", "--input-b", "{tmp}/bin.csv",
       "--out", "{tmp}/r.json"], "{tmp}/bin.csv: not UTF-8 text"),
@@ -512,6 +532,11 @@ MALFORMED = [
     ("two simulated curves", {},
      ["simulate", "shape", "--n", "2", "--curve-grid", "60", "--out-dir", "{tmp}/sim"],
      "n must be >= 3"),
+] + [
+    (case, {"pdf.csv": lines},
+     ["pdf-cca", "--input-a", "{tmp}/pdf.csv", "--input-b", "{tmp}/pdf.csv",
+      "--out", "{tmp}/r.json"], reason)
+    for case, lines, reason in BAD_PDF_TABLES
 ]
 
 
@@ -531,3 +556,65 @@ def test_malformed_input_exits_2_with_reason(case, files, argv, reason, pdf_data
     assert err.startswith("error: validation: "), err
     assert err.count("\n") == 1, err
     assert reason.format(tmp=tmp_path) in err, err
+
+
+# a finite float (subnormals and -0.0 included), the spaces before and after
+# its repr, and whether the cell is quoted
+CSV_CELL = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", " ", "  "]), st.sampled_from(["", " "]), st.booleans(),
+)
+
+
+class TestPdfCsvParse:
+    @pytest.mark.parametrize("case,lines,reason", BAD_PDF_TABLES,
+                             ids=[b[0] for b in BAD_PDF_TABLES])
+    def test_rejection_raises_no_warning(self, case, lines, reason, tmp_path):
+        # pytest records warnings instead of printing them, so a warning the
+        # CLI would print ahead of its one-line reason shows only here
+        path = tmp_path / "pdf.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError) as info:
+                tfcca.cli._read_pdf_csv(str(path), 50)
+        assert reason in str(info.value)
+        assert [str(w.message) for w in caught] == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda width: st.lists(
+               st.lists(CSV_CELL, min_size=width, max_size=width), min_size=3, max_size=8)),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_bulk_parse_is_per_cell_float(self, rows, end):
+        def text(value, before, after, quoted):
+            cell = before + repr(value) + after
+            return f'"{cell}"' if quoted else cell
+
+        header = ",".join(["t"] + [f"s{j}" for j in range(1, len(rows[0]))])
+        lines = [header + end] + [",".join(text(*c) for c in row) + end for row in rows]
+        ids, data = tfcca.cli._parse_pdf_table("mem.csv", lines)
+        per_cell = np.array([[float(x) for x in next(csv.reader([line]))]
+                             for line in lines[1:]])
+        assert ids == [f"s{j}" for j in range(1, len(rows[0]))]
+        assert data.tobytes() == per_cell.tobytes()
+        assert data.tobytes() == np.array([[c[0] for c in row] for row in rows]).tobytes()
+
+    def test_traced_peak_below_three_file_sizes(self, tmp_path):
+        # the table is parsed in bulk, not through a Python float per cell
+        n_subjects, n_rows = 400, 200
+        t = np.linspace(0.0, 1.0, n_rows)
+        phase = np.random.default_rng(0).uniform(0, 2 * np.pi, n_subjects)
+        dens = 1.0 + 0.5 * np.sin(2 * np.pi * t[:, None] + phase)
+        path = tmp_path / "pdf.csv"
+        path.write_text(
+            ",".join(["t"] + [f"s{j}" for j in range(n_subjects)]) + "\n"
+            + "".join(",".join(map(repr, row)) + "\n"
+                      for row in np.column_stack([t, dens]).tolist()))
+        tracemalloc.start()
+        try:
+            out, _ = tfcca.cli._read_pdf_csv(str(path), n_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == n_subjects
+        assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
