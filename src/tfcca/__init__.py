@@ -23,7 +23,6 @@ from .errors import (  # noqa: E402
     DensityNormalizationWarning,
     GeodesicOverflowError,
     GridMismatchError,
-    NonMonotoneWarpError,
     NumericalError,
     RankError,
     TfccaError,
@@ -32,11 +31,9 @@ from .errors import (  # noqa: E402
 from .numerics import (  # noqa: E402
     DiscreteFunction,
     Grid,
-    compose_warp,
     derivative,
     inner_product,
     norm,
-    resample,
 )
 from .sphere import (  # noqa: E402
     KarcherMeanResult,
@@ -62,7 +59,6 @@ from .shape import (  # noqa: E402
     Curve,
     Registration,
     Srvf,
-    optimal_rotation,
     optimal_warp,
     project_Pi,
     project_to_preshape,

@@ -46,20 +46,26 @@ def _as_matrix(C, name: str) -> np.ndarray:
     return M
 
 
-def _check_r_factor(R: np.ndarray, ridge: float, name: str):
+def _check_r_factors(R1: np.ndarray, R2: np.ndarray, ridge: float = 0.0):
+    """Reject the R factors of the centered views C1 and C2 unless a ridge
+    stabilizes them: first a rank-deficient one (ValidationError), then an
+    ill-conditioned one (NumericalError), C1 before C2 in each case."""
     if ridge > 0.0:
         return
-    d = np.abs(np.diag(R))
-    if d.min() <= d.max() * 1e-12:
-        raise NumericalError(
-            f"{name} is numerically rank-deficient; supply ridge > 0 "
-            "(e.g. 1e-8 * trace of its covariance)"
-        )
-    if d.max() / d.min() > _COND_LIMIT:
-        raise NumericalError(
-            f"{name} is ill-conditioned (R condition {d.max() / d.min():.2e}); "
-            "supply ridge > 0"
-        )
+    diagonals = (("C1", np.abs(np.diag(R1))), ("C2", np.abs(np.diag(R2))))
+    for name, d in diagonals:
+        if d.min() <= d.max() * 1e-12:
+            raise ValidationError(
+                f"{name} is rank-deficient (a column has no variance after "
+                "centering, or there are fewer rows than columns); cca needs "
+                "ridge > 0 (e.g. 1e-8 * trace of its covariance)"
+            )
+    for name, d in diagonals:
+        if d.max() / d.min() > _COND_LIMIT:
+            raise NumericalError(
+                f"{name} is ill-conditioned (R condition {d.max() / d.min():.2e}); "
+                "supply ridge > 0"
+            )
 
 
 def _canonical_svd(M: np.ndarray):
@@ -94,8 +100,7 @@ def cca(C1, C2, ridge: float = 0.0):
     X1c, X2c = X1 - m1, X2 - m2
     Q1, R1 = np.linalg.qr(X1c)
     Q2, R2 = np.linalg.qr(X2c)
-    _check_r_factor(R1, ridge, "C1")
-    _check_r_factor(R2, ridge, "C2")
+    _check_r_factors(R1, R2, ridge)
 
     if ridge == 0.0:
         M = Q1.T @ Q2

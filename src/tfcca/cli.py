@@ -235,8 +235,11 @@ def _read_response(path: str, ids, log_response: bool):
             continue
         if len(row) < 2:
             raise ValidationError(f"{path}:{k}: need 'id,response' columns")
+        sid = row[0].strip()
+        if sid in table:
+            raise ValidationError(f"{path}:{k}: duplicate subject id {sid!r}")
         try:
-            table[row[0].strip()] = float(row[1])
+            table[sid] = float(row[1])
         except ValueError:
             raise ValidationError(
                 f"{path}:{k}: non-numeric response {row[1]!r}"
@@ -254,16 +257,6 @@ def _read_response(path: str, ids, log_response: bool):
 
 # ---------------------------------------------------------------------------
 # analysis helpers
-
-def _tangent_layout(group_a, group_b, args):
-    """The tangent layout and FPCA truncation that the shared options select."""
-    return tangent_mode_pipeline(
-        group_a, group_b,
-        mode=args.tangent_mode,
-        rank=args.rank,
-        explained=args.explained,
-    )
-
 
 def _shared_options(args) -> dict:
     """Effective values of the shared options that set the tangent coordinates."""
@@ -376,7 +369,8 @@ def _run_paired_analysis(command, kind_a, kind_b, path_a, path_b, args):
     epsilons = _parse_epsilons(args.epsilons)
     if args.directions < 0:
         raise ValidationError(f"--directions must be >= 0, got {args.directions}")
-    result = _tangent_layout(group_a, group_b, args)
+    result = tangent_mode_pipeline(group_a, group_b, mode=args.tangent_mode,
+                                   rank=args.rank, explained=args.explained)
     res_cca = cca(result.c1, result.c2, ridge=args.ridge)
     report = _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
     write_report(report, args.out)
@@ -415,7 +409,8 @@ def cmd_cvr(args):
     except ValueError:
         raise ValidationError(f"bad --eta-grid {args.eta_grid!r}") from None
 
-    result = _tangent_layout(group_a, group_b, args)
+    result = tangent_mode_pipeline(group_a, group_b, mode=args.tangent_mode,
+                                   rank=args.rank, explained=args.explained)
     trace, details = cvr_cross_validate(
         result.c1, result.c2, y, args.d, eta_grid,
         split=args.splits, repeats=args.repeats, rng_seed=args.seed,
@@ -509,7 +504,10 @@ def cmd_simulate(args):
     outputs = []
     truth = {"seed": args.seed, "n": args.n}
     if args.what == "pdf":
-        groups = [int(g) for g in args.groups.split(",")]
+        try:
+            groups = [int(g) for g in args.groups.split(",")]
+        except ValueError:
+            raise ValidationError(f"bad --groups {args.groups!r}") from None
         if len(groups) != 2:
             raise ValidationError("--groups must name two groups, e.g. 1,2")
         for tag, g in zip(("a", "b"), groups):

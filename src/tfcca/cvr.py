@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import _as_matrix, _canonical_svd, _check_r_factor
+from .cca import _as_matrix, _canonical_svd, _check_r_factors
 from .errors import ValidationError
 
 # block-coordinate descent stops once the objective falls by no more than
@@ -67,16 +67,6 @@ class CvTrace:
     chosen_eta: float
 
 
-def _qr_checked(X: np.ndarray, name: str):
-    Q, R = np.linalg.qr(X)
-    d = np.abs(np.diag(R))
-    if d.min() <= d.max() * 1e-12:
-        raise ValidationError(
-            f"{name} is rank-deficient (a column has no variance after centering)"
-        )
-    return Q, R
-
-
 def _check_inputs(X1, X2, y, d: int, etas):
     """The checks a fit makes before any work, in the order it makes them."""
     n = X1.shape[0]
@@ -94,17 +84,15 @@ def _check_inputs(X1, X2, y, d: int, etas):
 
 
 def _statistics(X1, X2, y, d: int):
-    """Center and QR-factor both views, checking a zero-variance column
-    (ValidationError), then an ill-conditioned R (NumericalError), C1 before
-    C2 in each case. Returns (m1, m2, R1, R2, stats), where stats is what the
+    """Center and QR-factor both views, and check the R factors as cca does
+    (_check_r_factors). Returns (m1, m2, R1, R2, stats), where stats is what the
     descent needs: (M, Q1^T y, Q2^T y, sum(y), y^T y, Z1, Z2), with Z1 and Z2
     the classical CCA start, the leading d canonical singular vectors of M
     (orthonormal variates: unit Euclidean columns, not unit variance)."""
     m1, m2 = X1.mean(axis=0), X2.mean(axis=0)
-    Q1, R1 = _qr_checked(X1 - m1, "C1")
-    Q2, R2 = _qr_checked(X2 - m2, "C2")
-    _check_r_factor(R1, 0.0, "C1")
-    _check_r_factor(R2, 0.0, "C2")
+    Q1, R1 = np.linalg.qr(X1 - m1)
+    Q2, R2 = np.linalg.qr(X2 - m2)
+    _check_r_factors(R1, R2)
     M = Q1.T @ Q2
     U, _, V = _canonical_svd(M)
     return m1, m2, R1, R2, (M, Q1.T @ y, Q2.T @ y, y.sum(), y @ y, U[:, :d], V[:, :d])
@@ -249,7 +237,7 @@ def cvr_cross_validate(
     held-out negated predictions (shorter survival = higher risk).
 
     Every check cvr_fit makes runs before any descent: the row, eta, y and d
-    checks once, then split by split, in split order, the zero-variance and
+    checks once, then split by split, in split order, the rank and
     R-condition checks on its training rows. Each split's training rows are
     centered and QR-factored once; what is kept is its sufficient statistics
     (M = Q1^T Q2, Q_k^T y, sum(y), y^T y), the canonical SVD start, and its

@@ -141,10 +141,7 @@ def estimate_pdf(
     return Pdf.from_unnormalized(heights[idx], grid)
 
 
-def pdf_tangent_coordinates(
-    pdfs: list,
-    karcher_kwargs: dict | None = None,
-) -> tuple[Srt, Tangents]:
+def pdf_tangent_coordinates(pdfs: list) -> tuple[Srt, Tangents]:
     """Map densities into the tangent space at their Karcher mean.
 
     Applies the square-root transform to the stacked densities at once, with
@@ -156,7 +153,7 @@ def pdf_tangent_coordinates(
         raise ValidationError("need >= 2 densities")
     X = np.sqrt(np.stack([f.f.values for f in pdfs]))
     X *= _unit_factors(np.sqrt(_integrate_rows(X * X)))[:, None]
-    mean = Srt(karcher_mean(X, pdfs[0].grid, **(karcher_kwargs or {})).mean)
+    mean = Srt(karcher_mean(X, pdfs[0].grid).mean)
     return mean, Tangents(mean.p, _log_rows(mean.p.f.values, X))
 
 

@@ -18,10 +18,6 @@ class GridMismatchError(ValidationError):
     """Operands live on different grids or have different value dimensions."""
 
 
-class NonMonotoneWarpError(ValidationError):
-    """A warping function is not monotone or not boundary-to-boundary."""
-
-
 class DegenerateSampleError(ValidationError):
     """A sample carries no usable information (e.g. all values identical)."""
 

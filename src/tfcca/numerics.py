@@ -1,5 +1,5 @@
-"""Uniform-grid function arithmetic: quadrature, differentiation,
-interpolation and warping on [0,1].
+"""Uniform-grid function arithmetic on [0,1]: quadrature, differentiation
+and row-wise linear interpolation.
 
 All functions are sampled on the closed uniform grid t_k = k/(n-1). Closed
 (circle-domain) functions carry periodic=True and store the identified
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, NonMonotoneWarpError, ValidationError
+from .errors import GridMismatchError, ValidationError
 
 DEFAULT_PDF_GRID = 1000
 DEFAULT_CURVE_GRID = 200
@@ -189,61 +189,3 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     np.copyto(out, f0, where=x <= x0)
     np.copyto(out, f1, where=x >= x1)
     return out
-
-
-def resample(a: DiscreteFunction, new_grid: Grid) -> DiscreteFunction:
-    """Linearly interpolate onto new_grid (identity when grids coincide)."""
-    if new_grid == a.grid:
-        return a
-    vals = _interp_rows(new_grid.points, a.grid.points, a.values)
-    return DiscreteFunction(new_grid, vals, a.periodic)
-
-
-def evaluate(a: DiscreteFunction, x: np.ndarray) -> np.ndarray:
-    """Evaluate a at a 1-D array of points by linear interpolation.
-
-    Periodic functions accept any real x (reduced mod 1); open-domain
-    functions require x in [0,1] up to rounding slack.
-    """
-    x = np.asarray(x, dtype=float)
-    if a.periodic:
-        x = np.mod(x, 1.0)
-    else:
-        if x.min() < -1e-9 or x.max() > 1 + 1e-9:
-            raise ValidationError(
-                f"evaluation points outside [0,1] for a non-periodic function "
-                f"(range [{x.min():.3g}, {x.max():.3g}])"
-            )
-        x = np.clip(x, 0.0, 1.0)
-    return _interp_rows(x, a.grid.points, a.values)
-
-
-def check_warp(gamma: DiscreteFunction, periodic: bool):
-    """Validate a warping function.
-
-    Open domain: nondecreasing with gamma(0)=0 and gamma(1)=1. Circle domain:
-    nondecreasing degree-1 map, gamma(1) = gamma(0) + 1 (values unwrapped,
-    a seed offset is allowed).
-    """
-    g = gamma.values
-    if g.ndim != 1:
-        raise NonMonotoneWarpError("warp must be scalar-valued")
-    if np.any(np.diff(g) < -1e-12):
-        raise NonMonotoneWarpError("warp is not monotone nondecreasing")
-    if periodic:
-        if abs((g[-1] - g[0]) - 1.0) > 1e-8:
-            raise NonMonotoneWarpError(
-                f"circle warp must have winding 1, got {g[-1] - g[0]:.6g}"
-            )
-    else:
-        if abs(g[0]) > 1e-8 or abs(g[-1] - 1.0) > 1e-8:
-            raise NonMonotoneWarpError(
-                f"warp endpoints ({g[0]:.6g}, {g[-1]:.6g}) != (0, 1)"
-            )
-
-
-def compose_warp(a: DiscreteFunction, gamma: DiscreteFunction) -> DiscreteFunction:
-    """Evaluate a(gamma(t)) on gamma's grid by linear interpolation."""
-    check_warp(gamma, a.periodic)
-    vals = evaluate(a, gamma.values)
-    return DiscreteFunction(gamma.grid, vals, a.periodic)

@@ -268,25 +268,6 @@ def curve_from_points(points, grid: Grid | None = None) -> Curve:
 
 
 # ---------------------------------------------------------------------------
-# rotation
-
-def optimal_rotation(q1: Srvf, q2: Srvf) -> np.ndarray:
-    """Procrustes rotation maximizing <q1, O q2>.
-
-    A = integral q1 q2^T dt; with SVD A = U S V^T the optimizer is
-    U diag(1, det(UV^T)) V^T, always a proper rotation.
-    """
-    v1 = q1.q.f.values if isinstance(q1, Srvf) else q1
-    v2 = q2.q.f.values if isinstance(q2, Srvf) else q2
-    if v1.shape != v2.shape:
-        raise ValidationError("SRVFs must share a grid")
-    A = _integrate_rows(v1.T[:, None] * v2.T)
-    U, _, Vt = np.linalg.svd(A)
-    D = np.diag([1.0, float(np.linalg.det(U @ Vt))])
-    return U @ D @ Vt
-
-
-# ---------------------------------------------------------------------------
 # dynamic programming alignment
 
 def _rigid_scores(q1_vals: np.ndarray, q2_stack: np.ndarray):
@@ -386,19 +367,6 @@ def _band_cost_tables(q1_vals, q2_chunk, nq1, first, width):
         acc += a1[:, None, None].astype(np.float32)
         acc += a2.T[circle[: n - p]].astype(np.float32)
     return tables
-
-
-def _segment_cost_tables(q1_vals, q2_chunk, nq1):
-    """Per-slope segment costs by circle position, cost[si][b, a, u] for the
-    segment from row a and column u: the band tables over all m diagonals,
-    re-indexed. A cell-by-cell DP reads these directly."""
-    n = q2_chunk.shape[1]
-    m = n - 1
-    tables = _band_cost_tables(q1_vals, q2_chunk, nq1, 0, m)
-    rows = np.arange(n)[:, None]
-    diag = (np.arange(m) - rows) % m
-    return [tables[si, rows[: n - p], diag[: n - p]].transpose(2, 0, 1)
-            for si, (p, _) in enumerate(SLOPES)]
 
 
 def _dp_band_pass(q1_vals, q2_chunk, offsets, band):
@@ -564,7 +532,7 @@ def _warp_action_vals(q_vals: np.ndarray, gamma: np.ndarray, grid: Grid) -> np.n
     return warped
 
 
-def _compose_warps(outer: np.ndarray, inner: np.ndarray, grid: Grid) -> np.ndarray:
+def _chain_warps(outer: np.ndarray, inner: np.ndarray, grid: Grid) -> np.ndarray:
     """(outer o inner)(t) for (B, n) unwrapped degree-1 circle warps."""
     whole = np.floor(inner)
     return _interp_rows(inner - whole, grid.points, outer) + whole
@@ -697,7 +665,7 @@ def register_batch(
 
         # the roll is folded into the composed warp; cur already has the
         # roll and rotation applied, so only the DP warp acts on it
-        gamma_tot[active] = _compose_warps(gamma_tot[active], gam + (pick * h)[:, None],
+        gamma_tot[active] = _chain_warps(gamma_tot[active], gam + (pick * h)[:, None],
                                            grid)
         cur[active] = _warp_action_vals(flat_cur[sel], gam, grid)
         if rnd > 0:

@@ -19,7 +19,7 @@ from .cca import cca
 from .density import Pdf, srt_inverse
 from .errors import ValidationError
 from .fpca import coefficients, tangent_mode_pipeline
-from .numerics import DiscreteFunction, Grid
+from .numerics import DEFAULT_CURVE_GRID, DEFAULT_PDF_GRID, DiscreteFunction, Grid
 from .shape import Curve
 from .sphere import TangentVector, Tangents, _transport_rows, exp_map
 
@@ -58,7 +58,7 @@ RECOVERY_SHAPE_RANK = 3
 class PdfSimSpec:
     group: int
     n: int
-    grid: Grid = field(default_factory=lambda: Grid(1000))
+    grid: Grid = field(default_factory=lambda: Grid(DEFAULT_PDF_GRID))
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -72,7 +72,7 @@ class PdfSimSpec:
 class CurveSimSpec:
     regime: str
     n: int
-    grid: Grid = field(default_factory=lambda: Grid(200))
+    grid: Grid = field(default_factory=lambda: Grid(DEFAULT_CURVE_GRID))
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -285,7 +285,7 @@ def recovery_protocol_shape(
     second estimate, and returns the latent peak-location correlation next
     to both.
     """
-    grid = grid or Grid(200)
+    grid = grid or Grid(DEFAULT_CURVE_GRID)
     spec = CurveSimSpec(regime, n, grid, rng_seed)
     curves1, locs1 = gen_curve_group(spec, 1)
     curves2, locs2 = gen_curve_group(spec, 2)

@@ -496,6 +496,10 @@ MALFORMED = [
      ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
       "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
       "--out", "{tmp}/r.json"], "resp.csv:15: need 'id,response'"),
+    ("duplicate response id", {"resp.csv": GOOD_RESPONSE + ["s0003,99"]},
+     ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
+      "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
+      "--out", "{tmp}/r.json"], "resp.csv:16: duplicate subject id 's0003'"),
     ("samples not a list", {"s.jsonl": ['{"id": "a", "samples": 5}']},
      ["pdf-cca", "--input-a", "{tmp}/s.jsonl", "--input-b", "{tmp}/s.jsonl",
       "--out", "{tmp}/r.json"], "'samples' of 'a' must be a list"),
@@ -532,6 +536,9 @@ MALFORMED = [
     ("two simulated curves", {},
      ["simulate", "shape", "--n", "2", "--curve-grid", "60", "--out-dir", "{tmp}/sim"],
      "n must be >= 3"),
+    ("non-integer simulate groups", {},
+     ["simulate", "pdf", "--groups", "1,x", "--out-dir", "{tmp}/sim"],
+     "bad --groups '1,x'"),
 ] + [
     (case, {"pdf.csv": lines},
      ["pdf-cca", "--input-a", "{tmp}/pdf.csv", "--input-b", "{tmp}/pdf.csv",

@@ -124,16 +124,15 @@ class TestTangentCoordinates:
             make_pdf(lambda t, m=m: gaussian_mix(t, 0.3, 0.1, m, 0.1))
             for m in rng.uniform(0.6, 0.8, 8)
         ]
-        mean, tangents = pdf_tangent_coordinates(
-            pdfs, karcher_kwargs={"tol": 1e-8}
-        )
+        mean, tangents = pdf_tangent_coordinates(pdfs)
         avg = np.mean(tangents.values, axis=0)
-        assert np.sqrt(np.trapezoid(avg ** 2, G.points)) <= 1e-7
+        # the mean stops once its gradient is within karcher_mean's tol, 1e-6
+        assert np.sqrt(np.trapezoid(avg ** 2, G.points)) <= 1e-6
 
     def test_two_pdfs_antisymmetric(self):
         p1 = make_pdf(lambda t: gaussian_mix(t, 0.3, 0.1, 0.65, 0.1))
         p2 = make_pdf(lambda t: gaussian_mix(t, 0.3, 0.1, 0.75, 0.1))
-        _, tangents = pdf_tangent_coordinates([p1, p2], karcher_kwargs={"tol": 1e-9})
+        _, tangents = pdf_tangent_coordinates([p1, p2])
         v1, v2 = vectors(tangents)
         np.testing.assert_allclose(v1.v.values, -v2.v.values, atol=1e-6)
 

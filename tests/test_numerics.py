@@ -9,12 +9,9 @@ from tfcca import (
     DiscreteFunction,
     Grid,
     GridMismatchError,
-    NonMonotoneWarpError,
-    compose_warp,
     derivative,
     inner_product,
     norm,
-    resample,
 )
 from tfcca.numerics import _integrate_rows, _interp_rows, trapezoid_weights
 
@@ -136,61 +133,6 @@ class TestDerivative:
         a = DiscreteFunction(g, np.sin(2 * np.pi * t), periodic=True)
         d = derivative(a)
         assert d.values[0] == d.values[-1]
-
-
-class TestResample:
-    def test_identity(self):
-        a = f_on(101, lambda t: np.sin(3 * t))
-        b = resample(a, Grid(101))
-        np.testing.assert_allclose(b.values, a.values, atol=1e-12)
-
-    def test_refinement_of_linear_is_exact(self):
-        a = f_on(11, lambda t: 2 * t - 1)
-        b = resample(a, Grid(101))
-        np.testing.assert_allclose(b.values, 2 * b.grid.points - 1, atol=1e-12)
-
-
-class TestComposeWarp:
-    def test_identity_warp(self):
-        a = f_on(101, lambda t: np.sin(2 * np.pi * t))
-        gamma = f_on(101, lambda t: t)
-        b = compose_warp(a, gamma)
-        np.testing.assert_allclose(b.values, a.values, atol=1e-12)
-        np.testing.assert_allclose(
-            derivative(b).values, derivative(a).values, atol=1e-10
-        )
-
-    def test_smooth_warp(self):
-        g = Grid(2001)
-        a = DiscreteFunction(g, np.sin(2 * np.pi * g.points))
-        gamma = DiscreteFunction(g, g.points ** 2)
-        b = compose_warp(a, gamma)
-        np.testing.assert_allclose(
-            b.values, np.sin(2 * np.pi * g.points ** 2), atol=5e-6
-        )
-
-    def test_periodic_circle_map_with_offset(self):
-        g = Grid(501)
-        a = DiscreteFunction(g, np.sin(2 * np.pi * g.points), periodic=True)
-        gamma = DiscreteFunction(g, g.points + 0.25)  # seed offset
-        b = compose_warp(a, gamma)
-        np.testing.assert_allclose(
-            b.values, np.sin(2 * np.pi * (g.points + 0.25)), atol=1e-6
-        )
-
-    def test_non_monotone_rejected(self):
-        a = f_on(101, lambda t: t)
-        g = Grid(101)
-        bad = np.linspace(0, 1, 101)
-        bad[50] = bad[40]  # create a decrease
-        with pytest.raises(NonMonotoneWarpError):
-            compose_warp(a, DiscreteFunction(g, bad))
-
-    def test_bad_boundary_rejected(self):
-        a = f_on(101, lambda t: t)
-        gamma = f_on(101, lambda t: 0.5 * t)
-        with pytest.raises(NonMonotoneWarpError):
-            compose_warp(a, gamma)
 
 
 class TestValidation:

@@ -10,7 +10,6 @@ from tfcca import (
     Grid,
     ValidationError,
     inner_product,
-    optimal_rotation,
     optimal_warp,
     project_Pi,
     project_to_preshape,
@@ -22,6 +21,7 @@ from tfcca import (
     srvf_inverse,
 )
 from tfcca.fpca import fit_fpca
+from tfcca.numerics import _integrate_rows
 import tfcca.shape as shape_module
 from tfcca.shape import (
     _BIG,
@@ -32,9 +32,11 @@ from tfcca.shape import (
     SLOPES,
     Srvf,
     _aligned_distance,
+    _apply_rigid,
+    _band_cost_tables,
     _dp_align_batch,
     _preshape_rows,
-    _segment_cost_tables,
+    _rigid_scores,
     closure_residual,
     curve_from_points,
     register_batch,
@@ -215,6 +217,20 @@ class TestPreshapeProjection:
             _preshape_rows(np.stack([q, outside.f.values, q]), G)
 
 
+def optimal_rotation(q1: Srvf, q2: Srvf) -> np.ndarray:
+    """Procrustes rotation maximizing <q1, O q2>, the reference for the
+    rigid search's angle.
+
+    A = integral q1 q2^T dt; with SVD A = U S V^T the optimizer is
+    U diag(1, det(UV^T)) V^T, always a proper rotation.
+    """
+    v1, v2 = q1.q.f.values, q2.q.f.values
+    A = _integrate_rows(v1.T[:, None] * v2.T)
+    U, _, Vt = np.linalg.svd(A)
+    D = np.diag([1.0, float(np.linalg.det(U @ Vt))])
+    return U @ D @ Vt
+
+
 class TestOptimalRotation:
     def test_identity_for_same(self):
         q = srvf(bumpy_curve([np.pi / 2]))
@@ -237,6 +253,26 @@ class TestOptimalRotation:
             O = optimal_rotation(a, b)
             assert np.linalg.det(O) == pytest.approx(1.0, abs=1e-10)
             np.testing.assert_allclose(O.T @ O, np.eye(2), atol=1e-10)
+
+    def test_rigid_search_angle_is_the_procrustes_rotation(self):
+        # registration takes its rotation from the FFT search's angle; at
+        # offset 0 the rotation _apply_rigid builds from it is the Procrustes
+        # optimum, on the inputs of the three tests above
+        same = srvf(bumpy_curve([np.pi / 2]))
+        q = srvf(bumpy_curve([np.pi / 2, np.pi]))
+        rotated = Srvf(
+            SpherePoint(DiscreteFunction(G, q.q.f.values @ rotation(0.7), periodic=True))
+        )
+        rng = np.random.default_rng(2)
+        pairs = [(same, same), (q, rotated)] + [
+            tuple(srvf(bumpy_curve(list(rng.uniform(0, 2 * np.pi, 2)))) for _ in "ab")
+            for _ in range(5)
+        ]
+        for a, b in pairs:
+            v1, v2 = a.q.f.values, b.q.f.values
+            theta = _rigid_scores(v1, v2[None])[1][0, 0]
+            _, O = _apply_rigid(v2[None], np.array([0]), np.array([theta]))
+            np.testing.assert_allclose(O[0], optimal_rotation(a, b), rtol=0, atol=1e-12)
 
 
 class TestOptimalWarp:
@@ -269,14 +305,27 @@ class TestOptimalWarp:
         assert warp.values[-1] - warp.values[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def segment_cost_tables(q1_vals, q2_chunk, nq1):
+    """Per-slope segment costs by circle position, cost[si][b, a, u] for the
+    segment from row a and column u: the band tables over all m diagonals,
+    re-indexed. A cell-by-cell DP reads these directly."""
+    n = q2_chunk.shape[1]
+    m = n - 1
+    tables = _band_cost_tables(q1_vals, q2_chunk, nq1, 0, m)
+    rows = np.arange(n)[:, None]
+    diag = (np.arange(m) - rows) % m
+    return [tables[si, rows[: n - p], diag[: n - p]].transpose(2, 0, 1)
+            for si, (p, _) in enumerate(SLOPES)]
+
+
 def reference_dp(q1_vals, q2_stack, offsets):
     """Cell-by-cell DP over the float32 segment costs of
-    _segment_cost_tables: slopes tried in SLOPES order with a strict `<`,
+    segment_cost_tables: slopes tried in SLOPES order with a strict `<`,
     the first seed kept on ties, and the warp built as in _dp_align_batch."""
     n = q1_vals.shape[0]
     m = n - 1
     h = 1.0 / m
-    tables = _segment_cost_tables(q1_vals, q2_stack, (q1_vals * q1_vals).sum(axis=1))
+    tables = segment_cost_tables(q1_vals, q2_stack, (q1_vals * q1_vals).sum(axis=1))
     gammas, costs = [], []
     for b in range(q2_stack.shape[0]):
         best = None
