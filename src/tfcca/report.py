@@ -117,16 +117,23 @@ def validate_report(report: dict):
 
 
 def write_report(report: dict, path: str):
-    """Validate and write atomically (temp file + rename)."""
+    """Validate and write atomically (temp file + rename).
+
+    The JSON text is streamed into the temp file, never held whole in
+    memory, and the file gets the mode a plain open() would give it under
+    the current umask (mkstemp creates it 0600)."""
     payload = jsonable(report)
     validate_report(payload)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            os.fchmod(fd, 0o666 & ~umask)
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

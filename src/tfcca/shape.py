@@ -14,10 +14,12 @@ diagonal, held in band coordinates (row i, diagonal k = j - i). After rigid
 alignment the paths stay close to the diagonal (on grid 200, within 2 cells
 in Karcher passes and within 5 in project_Pi). Every seed reads its band as
 a slice of one cost table, and each lattice row is one stacked update over
-all slopes. A curve whose optimal path touches the band edge is redone with
-the band doubled, up to the full lattice; optimal_warp is the case of a band
-as wide as the grid. The banded result equals the full-lattice DP whenever
-the full optimum lies inside the final band.
+all slopes. Only the last five rows are kept, so of the DP state only the
+int8 choices grow with n; the float32 cost tables are the largest array of
+a pass. A curve whose optimal path touches the band edge is redone with the
+band doubled, up to the full lattice; optimal_warp is the case of a band as
+wide as the grid. The banded result equals the full-lattice DP whenever the
+full optimum lies inside the final band.
 
 After the DP, registration runs on stacked (B, n[, 2]) arrays, and
 _preshape_rows is the one Newton projection: a row leaves its active set
@@ -67,7 +69,10 @@ _BIG = 1e30
 # half-width |j - i| of the lattice band the DP starts from; a curve whose
 # path touches the band edge is redone with the band doubled
 DP_BAND = 4
-# lattice cells (rows x band width x seeds x curves) per DP pass
+# lattice cells (rows x band width x seeds x curves) per DP pass. It bounds
+# the int8 choices, the only DP state that grows with n (the rows are a ring
+# of five). The float32 cost tables, the largest array of a pass (about 18
+# times the choices at band 4 and 5 seeds), are not bounded by it
 DP_CELLS = 1 << 20
 
 
@@ -312,23 +317,30 @@ def _band_cost_tables(q1_vals, q2_chunk, nq1, first, width):
     m = n - 1
     h = 1.0 / m
     q2d = q2_chunk[:, :m]
-    NQ = (q2d * q2d).sum(axis=2)  # (Bc, m)
-    D2 = (q2d * q2d[:, (np.arange(m) + 1) % m]).sum(axis=2)  # <q2[u], q2[u+1]>
+    NQ = (q2d * q2d).sum(axis=2).T  # (m, Bc)
+    D2 = (q2d * q2d[:, (np.arange(m) + 1) % m]).sum(axis=2).T  # <q2[u], q2[u+1]>
 
     max_roll = max((k * s) // p for p, s in SLOPES for k in range(p + 1)) + 1
     cols = [(np.arange(m) + c) % m for c in range(max_roll + 1)]
-    NQr = [NQ[:, c] for c in cols]
-    D2r = [D2[:, c] for c in cols]
+    NQr = [NQ[c] for c in cols]
+    D2r = [D2[c] for c in cols]
 
     # sheared[t, e, b] = <q1[t], q2_b[u]> at u = (t + first - back + e) mod m:
     # sample k, at column offset of, of the segment from (a, a + first + c)
-    # reads sheared[a + k, c + of - k + back]
+    # reads sheared[a + k, c + of - k + back]. Each q2 component is gathered
+    # from its own (m, Bc) plane and multiplied in place; the float64 sum is
+    # cast to float32 once, and the float64 staging is freed before the tables
     back = max(p for p, _ in SLOPES)
     rows = np.arange(n)[:, None]
-    q2u = q2d.transpose(1, 2, 0)[
-        (rows + first - back + np.arange(width + back + max_roll)) % m]  # (n, E, 2, Bc)
-    sheared = (q1_vals[:, None, 0, None] * q2u[:, :, 0]
-               + q1_vals[:, None, 1, None] * q2u[:, :, 1]).astype(np.float32)
+    at = (rows + first - back + np.arange(width + back + max_roll)) % m  # (n, E)
+    prod = q2d[:, :, 0].T[at]  # (n, E, Bc)
+    prod *= q1_vals[:, 0, None, None]
+    term = q2d[:, :, 1].T[at]
+    term *= q1_vals[:, 1, None, None]
+    prod += term
+    del term
+    sheared = prod.astype(np.float32)
+    del prod
     circle = (rows + first + np.arange(width)) % m  # (n, width) positions u
 
     tables = np.empty((len(SLOPES), n, width, Bc), dtype=np.float32)
@@ -341,7 +353,7 @@ def _band_cost_tables(q1_vals, q2_chunk, nq1, first, width):
         acc = tables[si, : n - p]
         acc[...] = 0.0
         a1 = np.zeros(n - p)  # sum_k w_k |q1[a+k]|^2
-        a2 = np.zeros((Bc, m))  # sum_k w_k |q2 at the k-th sample|^2
+        a2 = np.zeros((m, Bc))  # sum_k w_k |q2 at the k-th sample|^2
         view = tmp[: n - p]
         for k in range(p + 1):
             wk = (0.5 if k in (0, p) else 1.0) * h
@@ -365,7 +377,9 @@ def _band_cost_tables(q1_vals, q2_chunk, nq1, first, width):
                     + fr * fr * NQr[of + 1]
                 )
         acc += a1[:, None, None].astype(np.float32)
-        acc += a2.T[circle[: n - p]].astype(np.float32)
+        # a cast commutes with a gather, so a2 is cast on its (m, Bc) layout
+        np.take(a2.astype(np.float32), circle[: n - p], axis=0, out=view)
+        acc += view
     return tables
 
 
@@ -392,32 +406,36 @@ def _dp_band_pass(q1_vals, q2_chunk, offsets, band):
                                lo - band - pad, D)
     P = np.array([p for p, _ in SLOPES])
     step = np.array([s - p for p, s in SLOPES])  # change of k along each slope
-    # rows[top + i, pad + kk, sig, b]: best cost to node (i, i + kk - band);
-    # the pad columns and the rows above row 0 stay _BIG
-    rows = np.full((top + n, Wp, S, Bc), _BIG, dtype=np.float32)
-    rows[top, pad + band] = 0.0
+    # ring[i % R, pad + kk, sig, b]: best cost to node (i, i + kk - band).
+    # A row reads back at most top rows, so R = top + 1 slots hold every row
+    # still read; the pad columns stay _BIG, and so do the slots of the rows
+    # above row 0 until row i overwrites row i - R
+    R = top + 1
+    ring = np.full((R, Wp, S, Bc), _BIG, dtype=np.float32)
+    ring[0, pad + band] = 0.0
     choice = np.full((n, W, S, Bc), -1, dtype=np.int8)
-    # flat positions of every slope's predecessor in rows (plus i * Wp) and
-    # of its segment in tables (plus the table row); a slope longer than i
-    # reads a row above row 0 and table row 0, so its candidate stays _BIG
+    # flat positions of every slope's predecessor in ring, by the slot of
+    # row i, and of its segment in tables (plus the table row); a slope
+    # longer than i reads a row above row 0 and table row 0, so its
+    # candidate stays _BIG
     pred = pad + np.arange(W) - step[:, None]  # (NS, W) predecessor columns
-    row_at = (top - P)[:, None] * Wp + pred
+    ring_at = ((np.arange(R)[:, None] - P) % R)[:, :, None] * Wp + pred  # (R, NS, W)
     tab_at = ((np.arange(len(SLOPES)) * n * D)[:, None, None] + pred[:, :, None]
               + (offsets - lo))
     tab_row = np.maximum(np.arange(n)[:, None] - P, 0)[:, :, None, None] * D
-    flat_rows = rows.reshape(-1, S * Bc)
+    flat_ring = ring.reshape(-1, S * Bc)
     flat_tables = tables.reshape(-1, Bc)
     # the first slope attaining the minimum has the largest rank over ties
     rank = np.arange(len(SLOPES), 0, -1, dtype=np.int8)[:, None, None, None]
     for i in range(1, n):
-        cand = np.take(flat_rows, row_at + i * Wp, axis=0).reshape(-1, W, S, Bc)
+        cand = np.take(flat_ring, ring_at[i % R], axis=0).reshape(-1, W, S, Bc)
         cand += np.take(flat_tables, tab_at + tab_row[i], axis=0)
         best = cand.min(axis=0)
-        rows[top + i, pad : pad + W] = best
+        ring[i % R, pad : pad + W] = best
         first = len(SLOPES) - (np.equal(cand, best) * rank).max(axis=0)
         np.copyto(choice[i], first, where=best < _BIG)
 
-    end = rows[top + m, pad + band]  # (S, Bc)
+    end = ring[m % R, pad + band]  # (S, Bc)
     sbest = end.argmin(axis=0)
     gammas = np.empty((Bc, n))
     costs = np.empty(Bc)
@@ -470,6 +488,11 @@ def _dp_align_batch(q1_vals: np.ndarray, q2_stack: np.ndarray, offsets: np.ndarr
     equals the full-lattice DP whenever the full optimum lies inside the
     final band. It is not guaranteed otherwise: a full optimum outside the
     band goes unseen when the band's own best path stays off its edge.
+
+    Memory: a row reads back at most four rows, so a pass keeps five rows in
+    a ring, and of its DP state only the int8 choices scale with n; DP_CELLS
+    bounds them. The float32 cost tables are the largest array of a pass and
+    are not bounded by DP_CELLS.
     """
     B, n, _ = q2_stack.shape
     m = n - 1
@@ -479,7 +502,8 @@ def _dp_align_batch(q1_vals: np.ndarray, q2_stack: np.ndarray, offsets: np.ndarr
     todo = np.arange(B)
     band = min(band, m)
     while todo.size:
-        # curves per pass: bounds the (n, 2 band + 1, S, chunk) rows and choices
+        # curves per pass: bounds the (n, 2 band + 1, S, chunk) int8 choices,
+        # the only DP state that grows with n; the cost tables are larger
         chunk = max(1, DP_CELLS // (n * (2 * band + 1) * offsets.size))
         redo = []
         for c0 in range(0, todo.size, chunk):

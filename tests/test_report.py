@@ -1,10 +1,14 @@
 import json
+import os
+import stat
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import tfcca.report as report_module
 from tfcca.report import SCHEMA, jsonable, load_report, write_report
 
 # signed zeros, subnormals and magnitudes near the double range ends
@@ -38,6 +42,9 @@ class TestReportRoundTrip:
         report = payload(arrays)
         write_report(report, str(path))
         expected = jsonable(report)
+        # the streamed text is the one-shot text, byte for byte
+        assert path.read_bytes() == (
+            json.dumps(expected, sort_keys=True, indent=2) + "\n").encode()
         loaded = load_report(str(path))
         assert loaded == expected
         # the text tells -0.0 from 0.0, which == does not
@@ -46,3 +53,29 @@ class TestReportRoundTrip:
         # and the arrays come back bit for bit, -0.0 and subnormals included
         for got, arr in zip(loaded["metadata"]["arrays"], arrays):
             assert np.array(got, dtype=np.float64).tobytes() == arr.tobytes()
+
+
+class TestReportWrite:
+    def test_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "r.json"
+        old = os.umask(0o022)
+        try:
+            write_report(payload([np.zeros(3)]), str(path))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    def test_encoder_failure_leaves_old_target_and_no_temp(self, tmp_path,
+                                                           monkeypatch):
+        path = tmp_path / "r.json"
+        path.write_bytes(b"old report\n")
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{\n  "command": ')
+            raise RuntimeError("encoder failed")
+
+        monkeypatch.setattr(report_module.json, "dump", failing_dump)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_report(payload([np.zeros(3)]), str(path))
+        assert path.read_bytes() == b"old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,76 @@ class TestDpReference:
         ref_gammas, ref_costs = reference_dp(q1, q2, offsets)
         np.testing.assert_array_equal(costs, ref_costs)
         np.testing.assert_array_equal(gammas, ref_gammas)
+
+
+def oracle_segment_costs(q1_vals, q2_stack, p, s):
+    """Float64 segment costs of slope (p, s), cost[b, a, u] for the segment
+    from row a and circle position u, straight from the definition:
+    sum_k w_k |q1[a+k] - sqrt(s/p) ((1 - fr_k) q2[u+of_k] + fr_k q2[u+of_k+1])|^2
+    with of_k + fr_k = k s / p, indices mod m and trapezoid weights w_k."""
+    n = q1_vals.shape[0]
+    m = n - 1
+    a = np.arange(n - p)
+    u = np.arange(m)
+    cost = np.zeros((q2_stack.shape[0], n - p, m))
+    for k in range(p + 1):
+        w = (0.5 if k in (0, p) else 1.0) / m
+        of, fr = divmod(k * s, p)
+        fr /= p
+        q2k = ((1 - fr) * q2_stack[:, (u + of) % m]
+               + fr * q2_stack[:, (u + of + 1) % m])  # (B, m, 2)
+        diff = q1_vals[(a + k) % m][None, :, None] - np.sqrt(s / p) * q2k[:, None]
+        cost += w * (diff * diff).sum(axis=-1)
+    return cost
+
+
+class TestCostTables:
+    @pytest.mark.parametrize("n_points", [25, 101])
+    @pytest.mark.parametrize("first,width", [(0, None), (-9, 19)],
+                             ids=["all_diagonals", "band"])
+    def test_tables_match_float64_oracle(self, n_points, first, width):
+        m = n_points - 1
+        width = width or m
+        spec = CurveSimSpec("high", 4, Grid(n_points), rng_seed=11)
+        curves = gen_curve_group(spec, 1)[0]
+        q1 = srvf(curves[0]).q.f.values
+        q2 = np.stack([srvf(c).q.f.values for c in curves[1:]])
+        tables = _band_cost_tables(q1, q2, (q1 * q1).sum(axis=1), first, width)
+        rows = np.arange(n_points)[:, None]
+        circle = (rows + first + np.arange(width)) % m
+        for si, (p, s) in enumerate(SLOPES):
+            oracle = oracle_segment_costs(q1, q2, p, s)
+            want = oracle[:, rows[: n_points - p], circle[: n_points - p]]
+            got = tables[si, : n_points - p].transpose(2, 0, 1)
+            # the tables sum float32 terms of size up to the two speed
+            # integrals, so the rounding bound scales with those, not the
+            # cost; measured worst cases are under 3 eps
+            scale = (oracle_segment_costs(q1, 0 * q2, p, s)
+                     + oracle_segment_costs(0 * q1, q2, p, s))
+            scale = scale[:, rows[: n_points - p], circle[: n_points - p]]
+            err = np.abs(got - want) / scale
+            assert err.max() <= 8 * np.finfo(np.float32).eps, (p, s, err.max())
+
+
+class TestDpMemory:
+    def test_one_pass_peaks_near_its_cost_tables(self):
+        # the float32 tables, 11 slopes x n rows x D diagonals x curves, are
+        # the largest array of a pass; rows, choices and staging stay small
+        n, curves, band = 101, 16, DP_BAND
+        spec = CurveSimSpec("high", curves + 1, Grid(n), rng_seed=3)
+        group = gen_curve_group(spec, 1)[0]
+        q1 = srvf(group[0]).q.f.values
+        q2 = np.stack([srvf(c).q.f.values for c in group[1:]])
+        offsets = np.arange(-2, 3)
+        D = 2 * band + 1 + 2 * 3 + 4  # band, the slopes' |s - p| pads, seed span
+        table_bytes = len(SLOPES) * n * D * curves * 4
+        tracemalloc.start()
+        try:
+            shape_module._dp_band_pass(q1, q2, offsets, band)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * table_bytes, peak / table_bytes
 
 
 class TestBandedDp:
