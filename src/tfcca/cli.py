@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .cca import cca
-from .cvr import concordance_index, cvr_cross_validate, cvr_fit, cvr_predict
+from .cvr import DEFAULT_ETA_GRID, concordance_index, cvr_cross_validate, cvr_fit
+from .cvr import cvr_predict
 from .density import Pdf, estimate_pdf, pdf_variate_direction
 from .errors import NumericalError, TfccaError, ValidationError
 from .fpca import tangent_mode_pipeline
@@ -32,7 +33,7 @@ from .numerics import (
     DiscreteFunction,
     Grid,
 )
-from .report import load_report, write_report
+from .report import SCHEMA, write_report
 from .shape import curve_from_points, shape_variate_direction
 from .simgen import (
     CurveSimSpec,
@@ -308,34 +309,30 @@ def _direction_entries(result, res_cca, epsilons, directions):
     return out
 
 
-def _emit_direction_csv(directory, report):
+def _emit_direction_csv(directory, directions):
+    """One CSV per group and variate of a report's variate_directions: t,
+    then one column per epsilon in increasing order, an x and a y column
+    for a planar table."""
     os.makedirs(directory, exist_ok=True)
-    for side in ("group_a", "group_b"):
-        groups = {}
-        for entry in report["variate_directions"][side]:
-            groups.setdefault(entry["variate"], []).append(entry)
-        for variate, entries in groups.items():
-            entries.sort(key=lambda e: e["epsilon"])
-            n = entries[0]["grid"]["n_points"]
-            t = np.linspace(0.0, 1.0, n)
-            # a planar entry is written as an x column and a y column
-            planar = isinstance(entries[0]["values"][0], list)
-            suffixes = ("_x", "_y") if planar else ("",)
-            header = ["t"] + [f"eps{e['epsilon']:g}{s}" for e in entries for s in suffixes]
-            columns = [e["values"] for e in entries]
-            if planar:
-                columns = [[v[k] for v in col] for col in columns for k in (0, 1)]
+    for side, entries in directions.items():
+        for variate in sorted({e["variate"] for e in entries}):
+            row = sorted((e for e in entries if e["variate"] == variate),
+                         key=lambda e: e["epsilon"])
+            columns = np.column_stack([e["values"] for e in row])
+            suffixes = ("_x", "_y") if np.ndim(row[0]["values"]) == 2 else ("",)
+            header = ["t"] + [f"eps{e['epsilon']:g}{s}" for e in row for s in suffixes]
+            t = np.linspace(0.0, 1.0, len(columns))
             path = os.path.join(directory, f"{side}_variate{variate}.csv")
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                for i in range(n):
-                    writer.writerow([f"{t[i]:.10g}"] + [repr(col[i]) for col in columns])
+                for ti, values in zip(t, columns.tolist()):
+                    writer.writerow([f"{ti:.10g}"] + [repr(x) for x in values])
 
 
 def _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta):
     report = {
-        "schema": "tfcca-report-v1",
+        "schema": SCHEMA,
         "command": command,
         "tool_version": __version__,
         "mode": result.mode,
@@ -375,7 +372,7 @@ def _run_paired_analysis(command, kind_a, kind_b, path_a, path_b, args):
     report = _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
     write_report(report, args.out)
     if args.emit_csv:
-        _emit_direction_csv(args.emit_csv, load_report(args.out))
+        _emit_direction_csv(args.emit_csv, report["variate_directions"])
     print(f"wrote {args.out}")
 
 
@@ -425,7 +422,7 @@ def cmd_cvr(args):
         )
     risk = -cvr_predict(final, result.c1, result.c2)
     report = {
-        "schema": "tfcca-report-v1",
+        "schema": SCHEMA,
         "command": "cvr",
         "tool_version": __version__,
         "subjects": ids,
@@ -535,7 +532,7 @@ def cmd_simulate(args):
         truth["peak_locations_b"] = locs["b"]
         truth["latent_correlation"] = float(np.corrcoef(locs["a"], locs["b"])[0, 1])
     sidecar = {
-        "schema": "tfcca-report-v1",
+        "schema": SCHEMA,
         "command": "simulate",
         "tool_version": __version__,
         "outputs": [os.path.basename(p) for p in outputs],
@@ -615,7 +612,7 @@ def build_parser():
     p.add_argument("--log-response", action="store_true",
                    help="model the natural log of the response")
     p.add_argument("--d", type=int, required=True, help="number of variates")
-    p.add_argument("--eta-grid", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    p.add_argument("--eta-grid", default=",".join(str(float(x)) for x in DEFAULT_ETA_GRID))
     p.add_argument("--splits", type=float, default=0.8,
                    help="training fraction per repeat")
     p.add_argument("--repeats", type=int, default=100)

@@ -44,7 +44,8 @@ from .numerics import (
     norm,
 )
 from .sphere import KarcherMeanResult, SpherePoint, TangentVector, Tangents, exp_map
-from .sphere import _log_rows, _remove_component, _unit_factors, tangent_at
+from .sphere import geodesic_distance, tangent_at
+from .sphere import _angle_rows, _log_rows, _remove_component, _unit_factors
 
 # pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
@@ -588,21 +589,21 @@ def optimal_warp(q1: Srvf, q2: Srvf):
 # registration, distance, mean
 
 def _local_maxima_offsets(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k circular local peaks of each score row (basin centers)."""
-    B, m = scores.shape
-    left = np.roll(scores, 1, axis=1)
-    right = np.roll(scores, -1, axis=1)
-    is_peak = (scores > left) & (scores >= right)
-    out = np.zeros((B, k), dtype=int)
-    for b in range(B):
-        peaks = np.flatnonzero(is_peak[b])
-        if peaks.size == 0:
-            peaks = np.array([int(scores[b].argmax())])
-        order = peaks[np.argsort(-scores[b][peaks], kind="stable")]
-        chosen = list(order[:k])
-        while len(chosen) < k:
-            chosen.append(chosen[-1])
-        out[b] = chosen
+    """The k highest circular local peaks of each (B, m) score row (basin
+    centers), best first, as a (B, k) array. A peak is above its left
+    neighbour and not below its right one; a row with no peak (a constant
+    one) takes its argmax, equal scores go to the lower offset, and a row
+    with fewer than k peaks repeats its last."""
+    rows = np.arange(len(scores))
+    is_peak = (scores > np.roll(scores, 1, axis=1)) & (scores >= np.roll(scores, -1, axis=1))
+    flat = ~is_peak.any(axis=1)
+    is_peak[flat, scores[flat].argmax(axis=1)] = True
+    masked = np.where(is_peak, scores, -np.inf)
+    out = np.zeros((len(scores), k), dtype=int)
+    for j in range(k):
+        pick = masked.argmax(axis=1)
+        out[:, j] = np.where(masked[rows, pick] > -np.inf, pick, out[:, j - 1])
+        masked[rows, pick] = -np.inf
     return out
 
 
@@ -665,10 +666,7 @@ def register_batch(
         arange_a = np.arange(A)
         scores, angles = _rigid_scores(v1, cur[active])
         k = max(1, rigid_candidates) if rnd == 0 else 1
-        if k > 1:
-            cands = _local_maxima_offsets(scores, k)
-        else:
-            cands = scores.argmax(axis=1)[:, None]
+        cands = _local_maxima_offsets(scores, k)
 
         # push every rigid candidate through the DP; cheapest final cost wins
         flat_pick = cands.reshape(-1)
@@ -731,8 +729,7 @@ def register(q1: Srvf, q2: Srvf, rounds: int = REGISTRATION_ROUNDS):
 
 def _aligned_distance(q1: Srvf, q2: Srvf) -> float:
     _, star = register(q1, q2)
-    ip = np.clip(inner_product(q1.q.f, star.q.f), -1.0, 1.0)
-    return float(np.arccos(ip))
+    return geodesic_distance(q1.q, star.q)
 
 
 def shape_distance(q1: Srvf, q2: Srvf) -> float:
@@ -806,8 +803,8 @@ def shape_karcher_mean(qs: list) -> KarcherMeanResult:
     def registered_variance(candidate):
         regs = register_batch(candidate, qs, rounds=1, rigid_candidates=1)
         stars = np.stack([star.q.f.values for _, star in regs])
-        ips = _integrate_rows((stars * candidate.q.f.values).sum(axis=-1))
-        return float(np.mean(np.square(np.arccos(np.clip(ips, -1, 1))))), stars
+        d = _angle_rows(candidate.q.f.values, stars)[2]
+        return float(np.mean(np.square(d))), stars
 
     V, stars = registered_variance(mean)
     trace = [V]
