@@ -54,7 +54,6 @@ PRESHAPE_MAX_ITER = 50
 KARCHER_TOL = 1e-4
 KARCHER_MAX_ITER = 30
 KARCHER_STAGNATION_RTOL = 2e-3
-KARCHER_STEP = 1.0
 # registration stops for a curve once a round lowers its cost by no more
 # than this fraction of the previous round's cost
 REGISTRATION_RTOL = 1e-3
@@ -787,9 +786,10 @@ def shape_karcher_mean(qs: list) -> KarcherMeanResult:
 
     Each iteration registers every curve to the current mean (one round, one
     rigid candidate), averages the constraint-projected log maps, and steps
-    along the exponential map, re-projecting to the pre-shape set. The step
-    is halved when an update would increase the registered variance, so the
-    variance trace is non-increasing by construction. Stops on a mean tangent
+    along the exponential map, re-projecting to the pre-shape set. It takes
+    the full mean log map, or half of it when the full step would increase
+    the registered variance, so the variance trace is non-increasing by
+    construction; when both steps increase it, the mean stops. Stops on a mean tangent
     of at most KARCHER_TOL, after KARCHER_MAX_ITER iterations, or when the
     variance improves by no more than KARCHER_STAGNATION_RTOL of its value.
     The result's mean is an Srvf.
@@ -818,7 +818,7 @@ def shape_karcher_mean(qs: list) -> KarcherMeanResult:
         if gnorm <= KARCHER_TOL:
             converged = True
             break
-        for s in (KARCHER_STEP, KARCHER_STEP / 2):
+        for s in (1.0, 0.5):
             point = exp_map(mean.q, TangentVector(mean.q, direction.v * s))
             cand = project_to_preshape(point)
             V_cand, stars_cand = registered_variance(cand)

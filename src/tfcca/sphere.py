@@ -24,9 +24,7 @@ from .numerics import DiscreteFunction, Grid, inner_product, norm
 from .numerics import _check_compatible, _freeze, _integrate_rows
 
 ANTIPODE_MARGIN = 1e-6
-# karcher_mean: the fraction of the mean log map taken per iteration, and
-# the iterations run before it gives up unconverged
-KARCHER_STEP = 0.5
+# karcher_mean: the iterations run before it gives up unconverged
 KARCHER_MAX_ITER = 100
 
 
@@ -192,7 +190,8 @@ def karcher_mean(stack: np.ndarray, grid: Grid, tol: float = 1e-6) -> KarcherMea
     """Karcher (Frechet) mean on the sphere by tangent-space averaging.
 
     stack holds the (n, M) samples on grid of n unit-norm functions, one
-    row each. Iterates p <- exp_p(KARCHER_STEP * mean_i log_p(p_i)) from the
+    row each. Iterates p <- exp_p(mean_i log_p(p_i)), the full gradient step
+    (Afsari, Tron & Vidal, SIAM J. Control Optim. 2013), from the
     renormalized extrinsic average until the gradient norm drops below tol,
     taking all log maps in one call on the stack. Non-convergence after
     KARCHER_MAX_ITER iterations is flagged in the result rather than raised.
@@ -215,7 +214,7 @@ def karcher_mean(stack: np.ndarray, grid: Grid, tol: float = 1e-6) -> KarcherMea
             return KarcherMeanResult(
                 mean, iterations, grad_norm, True, tuple(variance_trace)
             )
-        mean = exp_map(mean, TangentVector(mean, direction.v * KARCHER_STEP))
+        mean = exp_map(mean, direction)
     return KarcherMeanResult(mean, iterations, grad_norm, False, tuple(variance_trace))
 
 

@@ -21,6 +21,7 @@ from tfcca import (
 )
 from tfcca.sphere import (
     ANTIPODE_MARGIN,
+    KARCHER_MAX_ITER,
     _ip_rows,
     _log_rows,
     _remove_component,
@@ -180,6 +181,19 @@ class TestKarcherMean:
         logs = np.mean([log_map(res.mean, p).v.values for p in pts], axis=0)
         g = norm(DiscreteFunction(GRID, logs))
         assert g <= 1e-7 + 1e-10
+
+    def test_full_step_converges_on_narrow_spread_bumps(self):
+        # root densities of narrow bumps spread over [0, 1]: the points are
+        # far apart, the hard case for the full gradient step
+        rng = np.random.default_rng(37)
+        t = GRID.points
+        centers = rng.uniform(0.05, 0.95, 25)
+        widths = rng.uniform(0.01, 0.03, 25)
+        dens = np.exp(-0.5 * ((t - centers[:, None]) / widths[:, None]) ** 2) + 1e-3
+        res = karcher_mean(np.sqrt(dens / _ip_rows(dens, np.ones(N))[:, None]), GRID)
+        assert res.converged
+        assert res.iterations <= KARCHER_MAX_ITER
+        assert res.final_gradient_norm <= 1e-6
 
     def test_variance_monotone(self):
         rng = np.random.default_rng(31)
