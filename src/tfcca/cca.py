@@ -24,7 +24,8 @@ class CcaResult:
     correlations is nonincreasing in [0,1] of length min(r1, r2). Weight
     columns are scaled so each variate has unit sample variance and
     correlates nonnegatively with its partner; variate columns within a view
-    are mutually uncorrelated.
+    are mutually uncorrelated. The largest-magnitude entry of each weights_1
+    column is positive, so the signs do not depend on the order of the rows.
     """
 
     correlations: np.ndarray
@@ -68,12 +69,18 @@ def _check_r_factors(R1: np.ndarray, R2: np.ndarray, ridge: float = 0.0):
             )
 
 
+def _dominant_signs(A: np.ndarray) -> np.ndarray:
+    """Sign of the largest-magnitude entry of each column of A (the first
+    such entry on a tie)."""
+    return np.sign(A[np.abs(A).argmax(axis=0), np.arange(A.shape[1])])
+
+
 def _canonical_svd(M: np.ndarray):
     """Thin SVD M = U diag(sig) V^T with deterministic signs: the dominant
     entry of each left vector is positive, and its right vector flips with
     it so pair correlations stay nonnegative. Returns (U, sig, V)."""
     U, sig, Vt = np.linalg.svd(M, full_matrices=False)
-    flips = np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
+    flips = _dominant_signs(U)
     return U * flips, sig, Vt.T * flips
 
 
@@ -93,8 +100,8 @@ def cca(C1, C2, ridge: float = 0.0):
     n = X1.shape[0]
     if n < 3:
         raise ValidationError(f"need n >= 3 paired rows, got {n}")
-    if ridge < 0:
-        raise ValidationError("ridge must be nonnegative")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ValidationError(f"ridge must be a finite number >= 0, got {ridge}")
 
     m1, m2 = X1.mean(axis=0), X2.mean(axis=0)
     X1c, X2c = X1 - m1, X2 - m2
@@ -122,6 +129,10 @@ def cca(C1, C2, ridge: float = 0.0):
     sd2 = np.where(sd2 > 0, sd2, 1.0)
     W1, W2 = W1 / sd1, W2 / sd2
     V1, V2 = V1 / sd1, V2 / sd2
+    # U's signs follow the QR of the rows in their given order; the dominant
+    # entries of the weights do not
+    flips = _dominant_signs(W1)
+    W1, W2, V1, V2 = W1 * flips, W2 * flips, V1 * flips, V2 * flips
 
     return CcaResult(
         correlations=np.clip(sig, 0.0, 1.0),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import _as_matrix, _canonical_svd, _check_r_factors
+from .cca import _as_matrix, _canonical_svd, _check_r_factors, _dominant_signs
 from .errors import ValidationError
 
 # block-coordinate descent stops once the objective falls by no more than
@@ -183,6 +183,9 @@ def cvr_fit(C1, C2, y, d: int, eta: float) -> CvrResult:
     of M, and runs until the objective stops falling (CVR_TOL, at most
     CVR_MAX_ITER sweeps). At eta = 1 the solution reduces to classical CCA;
     at eta = 0 it is least-squares regression on constrained variates.
+    The largest-magnitude entry of each weights_1 column is positive, and
+    weights_2 and beta flip with it, so the signs do not depend on the order
+    of the rows (the descent's start, like cca's SVD, does).
     """
     X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
     y = np.asarray(y, dtype=float)
@@ -194,11 +197,13 @@ def cvr_fit(C1, C2, y, d: int, eta: float) -> CvrResult:
     Z1, Z2, alpha, beta, traces, converged = _descend(
         *(np.asarray(s)[None] for s in stats), n, np.array([float(eta)])
     )
+    W1 = np.linalg.solve(R1, Z1[0])
+    flips = _dominant_signs(W1)
     return CvrResult(
-        weights_1=np.linalg.solve(R1, Z1[0]),
-        weights_2=np.linalg.solve(R2, Z2[0]),
+        weights_1=W1 * flips,
+        weights_2=np.linalg.solve(R2, Z2[0]) * flips,
         alpha=float(alpha[0]),
-        beta=beta[0],
+        beta=beta[0] * flips,
         eta=eta,
         objective_trace=tuple(traces[0]),
         converged=bool(converged[0]),

@@ -29,6 +29,7 @@ numerics._integrate_rows, so the same holds for every row map here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,12 +284,15 @@ def _rigid_scores(q1_vals: np.ndarray, q2_stack: np.ndarray):
     Returns (scores, angles), each (B, m).
     """
     m = q1_vals.shape[0] - 1
+    return _spectral_rigid_scores(np.fft.rfft(q1_vals[:m], axis=0),
+                                  np.fft.rfft(q2_stack[:, :m], axis=1), m)
+
+
+def _spectral_rigid_scores(fa: np.ndarray, fb: np.ndarray, m: int):
+    """_rigid_scores from the rfft over the m distinct samples of q1, an
+    (F, 2) array, and of every q2, a (B, F, 2) array."""
     h = 1.0 / m
-    a = q1_vals[:m]
-    b = q2_stack[:, :m]
-    fa = np.fft.rfft(a, axis=0)  # (F, 2)
-    fb = np.fft.rfft(b, axis=1)  # (B, F, 2)
-    A = np.empty((b.shape[0], m, 2, 2))
+    A = np.empty((fb.shape[0], m, 2, 2))
     for x in range(2):
         for y in range(2):
             A[:, :, x, y] = h * np.fft.irfft(
@@ -304,7 +308,8 @@ def _band_cost_tables(q1_vals, q2_chunk, nq1, first, width):
     width, Bc) float32 array: entry [si, a, c, b] is the trapezoidal integral
     of |q1 - (q2_b o gamma) sqrt(gamma')|^2 over the slope-si segment that
     starts at row a and circle position u = (a + first + c) mod m, that is on
-    diagonal first + c. Rows a >= n - p of slope (p, s) are left unset.
+    diagonal first + c. Rows a >= n - p of slope (p, s) stay zero: only row
+    0 of a slope with p >= n is ever read, by a predecessor above row 0.
 
     Sample k of a (p, s) segment sits at circle position u + k*s/p: an
     integer column offset plus a fixed interpolation fraction. Read along the
@@ -343,7 +348,7 @@ def _band_cost_tables(q1_vals, q2_chunk, nq1, first, width):
     del prod
     circle = (rows + first + np.arange(width)) % m  # (n, width) positions u
 
-    tables = np.empty((len(SLOPES), n, width, Bc), dtype=np.float32)
+    tables = np.zeros((len(SLOPES), n, width, Bc), dtype=np.float32)
     tmp = np.empty((n - 1, width, Bc), dtype=np.float32)
     for si, (p, s) in enumerate(SLOPES):
         r = s / p
@@ -351,7 +356,6 @@ def _band_cost_tables(q1_vals, q2_chunk, nq1, first, width):
         # the only term that varies over all of (a, c, b) is the cross
         # correlation; the q1 and q2 speed terms reduce to 1-D marginals
         acc = tables[si, : n - p]
-        acc[...] = 0.0
         a1 = np.zeros(n - p)  # sum_k w_k |q1[a+k]|^2
         a2 = np.zeros((m, Bc))  # sum_k w_k |q2 at the k-th sample|^2
         view = tmp[: n - p]
@@ -528,7 +532,8 @@ def _smoothed_warp(gamma: np.ndarray, grid: Grid, width: int) -> np.ndarray:
     t = grid.points
     m = grid.n_points - 1
     dev = (gamma - t)[:, :m]
-    ext = np.concatenate([dev[:, -width:], dev, dev[:, :width]], axis=1)
+    # width samples on each side, read round the circle (width may exceed m)
+    ext = dev[:, np.arange(-width, m + width) % m]
     flat = np.convolve(np.concatenate([ext.ravel(), np.zeros(width - 1)]),
                        np.full(width, 1.0 / width), mode="valid")
     # one output per padded sample; the window centred on padded sample
@@ -781,24 +786,47 @@ def project_Pi(q, mean: Srvf):
     return TangentVector(mean.q, base.with_values(V[0])) if single else Tangents(mean.q, V)
 
 
+def _medoid(stack: np.ndarray) -> int:
+    """Row of a (B, n, 2) SRVF stack with the largest sum of best-offset
+    rigid scores against every row, itself included.
+
+    Each sum is a math.fsum, so it does not depend on the order of the rows,
+    and the rfft of the stack is taken once for all B * B scores. An exact
+    tie goes to the first tied row.
+    """
+    m = stack.shape[1] - 1
+    spectra = np.fft.rfft(stack[:, :m], axis=1)
+    totals = [math.fsum(_spectral_rigid_scores(f, spectra, m)[0].max(axis=1))
+              for f in spectra]
+    return int(np.argmax(totals))
+
+
 def shape_karcher_mean(qs: list) -> KarcherMeanResult:
     """Karcher mean shape: registration + tangent averaging fixed point.
 
-    Each iteration registers every curve to the current mean (one round, one
+    The start does not depend on the order of qs: every SRVF is aligned
+    rigidly (best cyclic offset and rotation) to the medoid (see _medoid),
+    and their extrinsic mean is projected onto the pre-shape set. Each
+    iteration registers every curve to the current mean (one round, one
     rigid candidate), averages the constraint-projected log maps, and steps
     along the exponential map, re-projecting to the pre-shape set. It takes
     the full mean log map, or half of it when the full step would increase
     the registered variance, so the variance trace is non-increasing by
-    construction; when both steps increase it, the mean stops. Stops on a mean tangent
-    of at most KARCHER_TOL, after KARCHER_MAX_ITER iterations, or when the
-    variance improves by no more than KARCHER_STAGNATION_RTOL of its value.
-    The result's mean is an Srvf.
+    construction; when both steps increase it, the mean stops. Stops on a
+    mean tangent of at most KARCHER_TOL, after KARCHER_MAX_ITER iterations,
+    or when the variance improves by no more than KARCHER_STAGNATION_RTOL of
+    its value. The result's mean is an Srvf.
     """
     if not qs:
         raise ValidationError("shape_karcher_mean needs at least one SRVF")
-    mean = qs[0]
     if len(qs) == 1:
-        return KarcherMeanResult(mean, 0, 0.0, True, (0.0,))
+        return KarcherMeanResult(qs[0], 0, 0.0, True, (0.0,))
+    stack = np.stack([q.q.f.values for q in qs])
+    scores, angles = _rigid_scores(stack[_medoid(stack)], stack)
+    pick = _local_maxima_offsets(scores, 1)[:, 0]
+    aligned, _ = _apply_rigid(stack, pick, angles[np.arange(len(qs)), pick])
+    mean = project_to_preshape(
+        SpherePoint(DiscreteFunction(qs[0].grid, aligned.mean(axis=0), periodic=True)))
 
     def registered_variance(candidate):
         regs = register_batch(candidate, qs, rounds=1, rigid_candidates=1)

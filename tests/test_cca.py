@@ -106,6 +106,28 @@ class TestCca:
         with pytest.raises(ValidationError):
             cca(C, np.ones((10, 2)))
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1.0])
+    def test_ridge_not_finite_nonnegative_rejected(self, ridge):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValidationError, match="ridge must be a finite number"):
+            cca(random_matrix(rng, 20, 2), random_matrix(rng, 20, 2), ridge=ridge)
+
+    @pytest.mark.parametrize("r2", [3, 2])
+    def test_row_permutations_leave_weights(self, r2):
+        # the QR of reordered rows flips columns of Q1; the weights' sign
+        # rule does not see the order
+        rng = np.random.default_rng(9 + r2)
+        C1 = random_matrix(rng, 30, 3)
+        C2 = C1[:, :r2] + random_matrix(rng, 30, r2)
+        ref = cca(C1, C2)
+        for _ in range(100):
+            perm = rng.permutation(30)
+            res = cca(C1[perm], C2[perm])
+            np.testing.assert_allclose(res.weights_1, ref.weights_1, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(res.weights_2, ref.weights_2, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(res.variates_1, ref.variates_1[perm], rtol=0,
+                                       atol=1e-10)
+
     def test_too_few_rows(self):
         with pytest.raises(ValidationError):
             cca(np.ones((2, 1)), np.ones((2, 1)))

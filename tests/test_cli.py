@@ -173,6 +173,15 @@ class TestShapeCca:
                 cells = [float(x) for x in row[1:]]
                 assert cells == [v for e in entries for v in e["values"][i]]
 
+    def test_four_point_curve_grid(self, shape_dataset, tmp_path):
+        # three distinct samples: every smoothing width is wider than the grid
+        assert run_cli([
+            "shape-cca",
+            "--input-a", str(shape_dataset / "group_a.jsonl"),
+            "--input-b", str(shape_dataset / "group_b.jsonl"),
+            "--rank", "2", "--curve-grid", "4", "--out", str(tmp_path / "rep.json"),
+        ]) == 0
+
 
 class TestCrossCca:
     def test_mixed_kinds(self, pdf_dataset, shape_dataset, tmp_path):
@@ -533,6 +542,8 @@ MALFORMED = [
      "explained must lie in (0, 1], got 1.5"),
     ("negative directions", {}, ["pdf-cca", "--directions", "-1"] + PDF_ARGV,
      "--directions must be >= 0, got -1"),
+    ("nan ridge", {}, ["pdf-cca", "--ridge", "nan"] + PDF_ARGV,
+     "ridge must be a finite number >= 0, got nan"),
     ("two simulated curves", {},
      ["simulate", "shape", "--n", "2", "--curve-grid", "60", "--out-dir", "{tmp}/sim"],
      "n must be >= 3"),

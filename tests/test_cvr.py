@@ -162,6 +162,20 @@ class TestCvrFit:
                 V = (C - mu) @ W
                 np.testing.assert_allclose(V.T @ V, np.eye(3), atol=1e-4)
 
+    @pytest.mark.parametrize("r2", [3, 2])
+    def test_row_permutations_leave_weights_and_beta(self, r2):
+        rng = np.random.default_rng(20 + r2)
+        C1 = rng.standard_normal((30, 3))
+        C2 = C1[:, :r2] + rng.standard_normal((30, r2))
+        y = C1[:, 0] + 0.5 * rng.standard_normal(30)
+        ref = cvr_fit(C1, C2, y, 2, 0.5)
+        for _ in range(100):
+            perm = rng.permutation(30)
+            res = cvr_fit(C1[perm], C2[perm], y[perm], 2, 0.5)
+            for key in ("weights_1", "weights_2", "beta"):
+                np.testing.assert_allclose(getattr(res, key), getattr(ref, key),
+                                           rtol=0, atol=1e-10, err_msg=key)
+
     def test_infeasible_d(self):
         rng = np.random.default_rng(6)
         C1, C2 = correlated_views(rng)

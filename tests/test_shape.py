@@ -11,6 +11,7 @@ from tfcca import (
     DiscreteFunction,
     Grid,
     ValidationError,
+    cca,
     inner_product,
     optimal_warp,
     project_Pi,
@@ -22,7 +23,7 @@ from tfcca import (
     srvf,
     srvf_inverse,
 )
-from tfcca.fpca import fit_fpca
+from tfcca.fpca import fit_fpca, tangent_mode_pipeline
 from tfcca.numerics import _integrate_rows
 import tfcca.shape as shape_module
 from tfcca.shape import (
@@ -36,9 +37,12 @@ from tfcca.shape import (
     _aligned_distance,
     _apply_rigid,
     _band_cost_tables,
+    _SMOOTH_WIDTHS,
     _dp_align_batch,
+    _local_maxima_offsets,
     _preshape_rows,
     _rigid_scores,
+    _smoothed_warp,
     closure_residual,
     curve_from_points,
     register_batch,
@@ -420,6 +424,21 @@ class TestCostTables:
             assert err.max() <= 8 * np.finfo(np.float32).eps, (p, s, err.max())
 
 
+    def test_rows_past_the_grid_are_zero(self):
+        # on a 3-cell grid no 4-row slope fits, yet the DP reads row 0 of
+        # those slopes; a NaN left in the block the tables reuse would show
+        grid = Grid(4)
+        curves = gen_curve_group(CurveSimSpec("high", 4, grid, rng_seed=7), 1)[0]
+        q1 = srvf(curves[0]).q.f.values
+        q2 = np.stack([srvf(c).q.f.values for c in curves[1:]])
+        for _ in range(5):
+            stale = np.full((len(SLOPES), 4, 17, 3), np.nan, dtype=np.float32)
+            del stale
+            tables = _band_cost_tables(q1, q2, (q1 * q1).sum(axis=1), -6, 17)
+            for si, (p, _) in enumerate(SLOPES):
+                assert not np.any(tables[si, 4 - p:]), SLOPES[si]
+
+
 class TestDpMemory:
     def test_one_pass_peaks_near_its_cost_tables(self):
         # the float32 tables, 11 slopes x n rows x D diagonals x curves, are
@@ -582,6 +601,66 @@ class TestRegister:
         assert shape_distance(q1, q2) < 0.05
 
 
+def local_maxima_offsets_loop(scores, k):
+    """Per-row reference of the rigid-basin rule: the top-k circular peaks
+    (> left, >= right) by score, ties to the lower offset; argmax for a row
+    without a peak; the last pick repeated when a row runs out."""
+    B, m = scores.shape
+    left = np.roll(scores, 1, axis=1)
+    right = np.roll(scores, -1, axis=1)
+    is_peak = (scores > left) & (scores >= right)
+    out = np.zeros((B, k), dtype=int)
+    for b in range(B):
+        peaks = np.flatnonzero(is_peak[b])
+        if peaks.size == 0:
+            peaks = np.array([int(scores[b].argmax())])
+        order = peaks[np.argsort(-scores[b][peaks], kind="stable")]
+        chosen = list(order[:k])
+        while len(chosen) < k:
+            chosen.append(chosen[-1])
+        out[b] = chosen
+    return out
+
+
+class TestRigidBasins:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stacked_rule_equals_per_row_loop(self, k):
+        rng = np.random.default_rng(k)
+        random_rows = rng.random((300, 40))
+        rounded = np.round(rng.random((300, 12)), 1)  # many equal neighbours
+        constant = np.full((4, 9), 0.5)
+        for scores in (random_rows, rounded, constant):
+            np.testing.assert_array_equal(_local_maxima_offsets(scores, k),
+                                          local_maxima_offsets_loop(scores, k))
+
+    def test_seam_plateau_peak_is_its_second_sample(self):
+        # a maximal plateau across the seam (offsets 7 and 0): the peak is
+        # the plateau's first sample going round, offset 7, where argmax
+        # would take offset 0; this is the one case where they differ
+        scores = np.array([[5.0, 1.0, 2.0, 1.0, 3.0, 1.0, 0.0, 5.0]])
+        assert scores.argmax() == 0
+        np.testing.assert_array_equal(_local_maxima_offsets(scores, 1), [[7]])
+        np.testing.assert_array_equal(_local_maxima_offsets(scores, 3), [[7, 4, 2]])
+
+
+class TestSmoothedWarp:
+    @pytest.mark.parametrize("n_points", [4, 6, 9, 12, 14, 101])
+    def test_equals_direct_circular_moving_average(self, n_points):
+        grid = Grid(n_points)
+        m = n_points - 1
+        rng = np.random.default_rng(n_points)
+        dev = 0.2 * rng.standard_normal((3, m)) / m
+        gamma = grid.points + np.concatenate([dev, dev[:, :1]], axis=1)
+        for width in _SMOOTH_WIDTHS + (1, 2 * m + 1):
+            out = _smoothed_warp(gamma, grid, width)
+            window = (np.arange(m)[:, None] + np.arange(width) - width // 2) % m
+            direct = dev[:, window].mean(axis=2)
+            assert out.shape == gamma.shape
+            np.testing.assert_allclose(out[:, :m] - grid.points[:m], direct,
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(out[:, m], out[:, 0] + 1.0, rtol=0, atol=1e-15)
+
+
 class TestShapeDistance:
     def test_self_distance(self):
         q = srvf(bumpy_curve([np.pi / 2]))
@@ -663,6 +742,27 @@ class TestKarcherMeanShape:
         ]
         trace = np.array(shape_karcher_mean(qs).variance_trace)
         assert np.all(np.diff(trace) <= 1e-8)
+
+
+class TestSubjectOrder:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_moving_a_subject_to_the_front_leaves_the_analysis(self, seed):
+        spec = CurveSimSpec("high", 16, Grid(60), rng_seed=seed)
+        g1, g2 = gen_curve_group(spec, 1)[0], gen_curve_group(spec, 2)[0]
+
+        def analysis(order):
+            res = tangent_mode_pipeline([g1[i] for i in order], [g2[i] for i in order],
+                                        "separate", rank=2)
+            out = cca(res.c1, res.c2)
+            return [out.correlations, res.basis_1.eigenvalues, res.basis_2.eigenvalues,
+                    out.weights_1, out.weights_2]
+
+        ref = analysis(range(16))
+        for front in (5, 11):
+            got = analysis([front] + [i for i in range(16) if i != front])
+            for name, a, b in zip(("correlations", "eigenvalues 1", "eigenvalues 2",
+                                   "weights 1", "weights 2"), got, ref):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
 
 
 class TestProjectPi:
