@@ -33,7 +33,6 @@ class CcaResult:
     weights_2: np.ndarray
     variates_1: np.ndarray
     variates_2: np.ndarray
-    regularization_used: float
     col_means_1: np.ndarray
     col_means_2: np.ndarray
 
@@ -140,7 +139,6 @@ def cca(C1, C2, ridge: float = 0.0):
         weights_2=W2,
         variates_1=V1,
         variates_2=V2,
-        regularization_used=ridge,
         col_means_1=m1,
         col_means_2=m2,
     )

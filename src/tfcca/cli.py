@@ -202,7 +202,7 @@ def _load_functional(path: str, kind: str | None, args):
 
 
 def _pair_by_id(objs_a: dict, objs_b: dict):
-    """Pair subjects by id, in input-a order; unmatched ids are an error."""
+    """Pair subjects by id, in sorted-id order; unmatched ids are an error."""
     missing = [sid for sid in objs_a if sid not in objs_b]
     extra = [sid for sid in objs_b if sid not in objs_a]
     if missing or extra:
@@ -210,14 +210,14 @@ def _pair_by_id(objs_a: dict, objs_b: dict):
             "subject ids do not match: "
             f"only in A {missing[:5]}, only in B {extra[:5]}"
         )
-    ids = list(objs_a)
+    ids = sorted(objs_a)
     return ids, [objs_a[s] for s in ids], [objs_b[s] for s in ids]
 
 
 def _ingest(kind_a, kind_b, path_a, path_b, args):
     """Load input A, then input B (see _load_functional), and pair them by id.
 
-    Returns the ids and both groups in input-A order, and the ingestion
+    Returns the ids and both groups in sorted-id order, and the ingestion
     metadata.
     """
     objs_a, meta_a = _load_functional(path_a, kind_a, args)
@@ -265,14 +265,18 @@ def _shared_options(args) -> dict:
             for k in ("tangent_mode", "rank", "explained", "grid", "curve_grid")}
 
 
-def _parse_epsilons(text: str):
+def _parse_floats(flag: str, text: str) -> tuple:
+    """The finite numbers of a comma-separated option value; empty entries
+    are skipped, and at least one number must remain."""
     try:
-        eps = tuple(float(x) for x in text.split(",") if x.strip() != "")
+        values = tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
-        raise ValidationError(f"bad --epsilons value {text!r}") from None
-    if not eps:
-        raise ValidationError("--epsilons must list at least one value")
-    return eps
+        raise ValidationError(f"bad {flag} value {text!r}") from None
+    if not values:
+        raise ValidationError(f"{flag} must list at least one value")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _direction_entries(result, res_cca, epsilons, directions):
@@ -281,22 +285,18 @@ def _direction_entries(result, res_cca, epsilons, directions):
     n_pairs = len(res_cca.correlations)
     take = min(directions, n_pairs)
     sides = (
-        ("group_a", result.basis_1, res_cca.weights_1, result.mean_1),
-        ("group_b", result.basis_2, res_cca.weights_2, result.mean_2),
+        ("group_a", result.basis_1, res_cca.weights_1),
+        ("group_b", result.basis_2, res_cca.weights_2),
     )
-    for side, basis, weights, mean in sides:
-        if result.mode == "transport":
-            mean = result.mean_2
+    for side, basis, weights in sides:
         n_points = int(basis.base.grid.n_points)
         for j in range(take):
             w = weights[:, j]
             w = w / np.linalg.norm(w)  # unit direction; epsilon sets the length
-            if hasattr(mean, "p"):
-                funcs = pdf_variate_direction(mean, basis, w, epsilons)
-                tables = [f.f.values for f in funcs]
+            if basis.base.f.is_planar:
+                tables = [c.beta.values for c in shape_variate_direction(basis, w, epsilons)]
             else:
-                curves = shape_variate_direction(mean, basis, w, epsilons)
-                tables = [c.beta.values for c in curves]
+                tables = [f.f.values for f in pdf_variate_direction(basis, w, epsilons)]
             for eps, vals in zip(epsilons, tables):
                 out[side].append(
                     {
@@ -363,7 +363,7 @@ def _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
 
 def _run_paired_analysis(command, kind_a, kind_b, path_a, path_b, args):
     ids, group_a, group_b, ingest_meta = _ingest(kind_a, kind_b, path_a, path_b, args)
-    epsilons = _parse_epsilons(args.epsilons)
+    epsilons = _parse_floats("--epsilons", args.epsilons)
     if args.directions < 0:
         raise ValidationError(f"--directions must be >= 0, got {args.directions}")
     result = tangent_mode_pipeline(group_a, group_b, mode=args.tangent_mode,
@@ -388,11 +388,6 @@ def cmd_shape_cca(args):
 
 
 def cmd_cross_cca(args):
-    if args.tangent_mode != "separate":
-        raise ValidationError(
-            "cross-cca pairs densities with curves; pooled/transport tangent "
-            "modes need a common representation space, use --tangent-mode separate"
-        )
     _run_paired_analysis("cross-cca", "pdf", "curve", args.pdf_input, args.shape_input, args)
 
 
@@ -401,10 +396,7 @@ def cmd_cvr(args):
         None, None, args.input_a, args.input_b, args
     )
     y = _read_response(args.response, ids, args.log_response)
-    try:
-        eta_grid = tuple(float(x) for x in args.eta_grid.split(","))
-    except ValueError:
-        raise ValidationError(f"bad --eta-grid {args.eta_grid!r}") from None
+    eta_grid = _parse_floats("--eta-grid", args.eta_grid)
 
     result = tangent_mode_pipeline(group_a, group_b, mode=args.tangent_mode,
                                    rank=args.rank, explained=args.explained)

@@ -252,9 +252,9 @@ def cvr_cross_validate(
     mask, and each repeat is scored from its own small matrices.
 
     Returns (CvTrace, details) where details carries per-repeat chosen etas,
-    MSEs, C-indices, mean/sd aggregates, held-out predictions, and
-    unconverged_fits: how many of the cross-validation fits reached
-    CVR_MAX_ITER sweeps without meeting CVR_TOL.
+    MSEs, C-indices, mean/sd aggregates, and unconverged_fits: how many of
+    the cross-validation fits reached CVR_MAX_ITER sweeps without meeting
+    CVR_TOL.
     """
     X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
     y = np.asarray(y, dtype=float)
@@ -264,6 +264,8 @@ def cvr_cross_validate(
         raise ValidationError("split must be a fraction in (0, 1)")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    if rng_seed < 0:
+        raise ValidationError(f"rng_seed must be >= 0, got {rng_seed}")
     if not eta_grid:
         raise ValidationError("eta_grid must list at least one value")
     n_train = int(round(split * n))
@@ -293,7 +295,6 @@ def cvr_cross_validate(
     rep_eta = np.empty(repeats)
     rep_mse = np.empty(repeats)
     rep_cindex = np.empty(repeats)
-    predictions = []
     for rep, (te, T1, T2) in enumerate(held_out):
         rows = slice(rep * E, (rep + 1) * E)
         pred = alpha[rows, None] + 0.5 * (T1 @ u1[rows] + T2 @ u2[rows])[..., 0]
@@ -303,7 +304,6 @@ def cvr_cross_validate(
         rep_eta[rep] = eta_grid[best]
         rep_mse[rep] = mse[best]
         rep_cindex[rep] = concordance_index(-pred[best], y[te])
-        predictions.append((te, pred[best]))
 
     mse_by_eta = mse_matrix.mean(axis=0)
     floor = mse_by_eta.min()
@@ -317,7 +317,6 @@ def cvr_cross_validate(
         "mse_sd": float(rep_mse.std(ddof=1)) if repeats > 1 else 0.0,
         "cindex_mean": float(rep_cindex.mean()),
         "cindex_sd": float(rep_cindex.std(ddof=1)) if repeats > 1 else 0.0,
-        "predictions": predictions,
         "mse_sd_by_eta": tuple(
             mse_matrix.std(axis=0, ddof=1) if repeats > 1 else np.zeros(len(eta_grid))
         ),

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSampleError,
-    DensityNormalizationWarning,
-    GeodesicOverflowError,
-    ValidationError,
-)
+from .errors import DegenerateSampleError, DensityNormalizationWarning, ValidationError
 from .numerics import DEFAULT_PDF_GRID, DiscreteFunction, Grid, _integrate_rows
-from .sphere import SpherePoint, TangentVector, Tangents, exp_map, karcher_mean
-from .sphere import _log_rows, _unit_factors
+from .sphere import SpherePoint, Tangents, karcher_mean
+from .sphere import _geodesic_points, _log_rows, _unit_factors
 
 # Integral drift up to this is renormalized with a warning; beyond is an error.
 MAX_INTEGRAL_DRIFT = 1e-3
@@ -157,20 +152,12 @@ def pdf_tangent_coordinates(pdfs: list) -> tuple[Srt, Tangents]:
     return mean, Tangents(mean.p, _log_rows(mean.p.f.values, X))
 
 
-def pdf_variate_direction(mean: Srt, basis, weights, epsilons) -> list:
-    """Densities along the geodesic through the mean in a basis direction.
+def pdf_variate_direction(basis, weights, epsilons) -> list:
+    """Densities along the geodesic through the basis's base point, the
+    square-root Karcher mean, in a basis direction.
 
     The direction is v = sum_i e_i w_i; for each step size eps the point
-    exp_mean(eps * v) is squared back into a density.
+    exp(eps * v) is squared back into a density. A step with |eps| |v| >= pi
+    raises GeodesicOverflowError.
     """
-    direction = basis.direction(weights)
-    L = direction.length
-    out = []
-    for eps in epsilons:
-        if abs(eps) * L >= np.pi:
-            raise GeodesicOverflowError(
-                f"geodesic overflow: |eps|*|v| = {abs(eps) * L:.4f} >= pi"
-            )
-        point = exp_map(mean.p, TangentVector(mean.p, direction.v * float(eps)))
-        out.append(srt_inverse(point))
-    return out
+    return [srt_inverse(p) for p in _geodesic_points(basis.direction(weights), epsilons)]

@@ -70,9 +70,9 @@ def _samples(f0, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
     """Eigen-decompose the sample covariance of a block of tangent vectors.
 
-    Exactly one truncation rule applies: a fixed rank, or the smallest rank
-    whose eigenvalues explain at least `explained` of the total variance
-    (default 0.95; it must lie in (0, 1]). Solved by one thin SVD of the
+    Exactly one of rank and explained is given: a fixed rank, or the
+    smallest rank whose eigenvalues explain at least `explained` of the
+    total variance (it must lie in (0, 1]). Solved by one thin SVD of the
     weighted sample matrix X sqrt(w) = U S V^T: the eigenvalues are
     s^2 / (n - 1) and the eigenfunctions V / sqrt(w), which come out exactly
     L2-orthonormal. Sign convention: the largest-magnitude entry of each
@@ -80,10 +80,8 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
     """
     if len(tangents) < 2:
         raise ValidationError("fpca needs >= 2 tangent vectors")
-    if rank is not None and explained is not None:
-        raise ValidationError("specify rank or explained, not both")
-    if rank is None and explained is None:
-        explained = PDF_EXPLAINED_DEFAULT
+    if (rank is None) == (explained is None):
+        raise ValidationError("specify exactly one of rank and explained")
     _check_explained(explained)
 
     base = tangents.base
@@ -142,9 +140,11 @@ def coefficients(basis: FpcBasis, tangents: Tangents) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TangentModeResult:
-    """Everything the CCA/CVR stage and visualization need from one layout."""
+    """Everything the CCA/CVR stage and visualization need from one layout.
 
-    kind: str
+    Variate directions start at each basis's base point; in the pooled and
+    transport layouts mean_1, group A's own mean, is no basis's base."""
+
     mode: str
     c1: np.ndarray
     c2: np.ndarray
@@ -227,7 +227,6 @@ def tangent_mode_pipeline(
         joint = np.concatenate([tan_1.values, tan_2.values])
         basis_1 = basis_2 = _fit(Tangents(tan_2.base, joint), kind_a)
     return TangentModeResult(
-        kind_a if kind_a == kind_b else f"{kind_a}+{kind_b}", mode,
-        coefficients(basis_1, tan_1), coefficients(basis_2, tan_2),
+        mode, coefficients(basis_1, tan_1), coefficients(basis_2, tan_2),
         basis_1, basis_2, mean_1, mean_2, tan_1, tan_2,
     )

@@ -45,8 +45,8 @@ from .numerics import (
     norm,
 )
 from .sphere import KarcherMeanResult, SpherePoint, TangentVector, Tangents, exp_map
-from .sphere import geodesic_distance, tangent_at
-from .sphere import _angle_rows, _log_rows, _remove_component, _unit_factors
+from .sphere import _angle_rows, _geodesic_points, _log_rows, _remove_component
+from .sphere import _unit_factors, geodesic_distance, tangent_at
 
 # pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
@@ -626,6 +626,19 @@ def _apply_rigid(cur: np.ndarray, pick: np.ndarray, theta: np.ndarray) -> np.nda
     return np.einsum("bxy,bty->btx", O, out), O
 
 
+def _rigid_align(v1: np.ndarray, stack: np.ndarray, k: int):
+    """The k best rigid alignments onto v1 of each SRVF of a (B, n, 2) stack:
+    the top k basins of its rigid scores (see _local_maxima_offsets), each
+    applied exactly as an integer roll plus rotation. Returns the aligned
+    (B * k, n, 2) stack, whose row b * k + j is candidate j of curve b, with
+    the (B * k,) offsets and (B * k, 2, 2) rotations."""
+    scores, angles = _rigid_scores(v1, stack)
+    pick = _local_maxima_offsets(scores, k).reshape(-1)
+    theta = angles[np.repeat(np.arange(len(stack)), k), pick]
+    aligned, O = _apply_rigid(np.repeat(stack, k, axis=0), pick, theta)
+    return aligned, pick, O
+
+
 def register_batch(
     q1: Srvf,
     qs: list,
@@ -668,15 +681,9 @@ def register_batch(
             break
         A = active.size
         arange_a = np.arange(A)
-        scores, angles = _rigid_scores(v1, cur[active])
         k = max(1, rigid_candidates) if rnd == 0 else 1
-        cands = _local_maxima_offsets(scores, k)
-
         # push every rigid candidate through the DP; cheapest final cost wins
-        flat_pick = cands.reshape(-1)
-        flat_theta = angles[np.repeat(arange_a, k), flat_pick]
-        flat_cur = np.repeat(cur[active], k, axis=0)
-        flat_cur, flat_O = _apply_rigid(flat_cur, flat_pick, flat_theta)
+        flat_cur, flat_pick, flat_O = _rigid_align(v1, cur[active], k)
         gam, cost = _dp_align_batch(v1, flat_cur, window)
         best = cost.reshape(A, k).argmin(axis=1)
         sel = arange_a * k + best
@@ -721,14 +728,14 @@ def register_batch(
     return list(zip(regs, _srvfs(stars, grid)))
 
 
-def register(q1: Srvf, q2: Srvf, rounds: int = REGISTRATION_ROUNDS):
+def register(q1: Srvf, q2: Srvf):
     """Register q2 onto q1; returns (Registration, registered q2).
 
     Alternates rigid search (three first-round candidates) and DP until the
     round cost stops decreasing (relative tolerance REGISTRATION_RTOL), for
-    at most `rounds` rounds; see register_batch.
+    at most REGISTRATION_ROUNDS rounds; see register_batch.
     """
-    return register_batch(q1, [q2], rounds=rounds)[0]
+    return register_batch(q1, [q2])[0]
 
 
 def _aligned_distance(q1: Srvf, q2: Srvf) -> float:
@@ -770,20 +777,18 @@ def _preshape_tangents(mean: Srvf, stars: np.ndarray) -> np.ndarray:
     return V
 
 
-def project_Pi(q, mean: Srvf):
-    """Project SRVF(s) onto the pre-shape tangent space at the mean.
+def project_Pi(qs: list, mean: Srvf) -> Tangents:
+    """Project SRVFs onto the pre-shape tangent space at the mean.
 
     Three steps: register to the mean, inverse-exponential map at the mean,
-    then removal of the two closure-constraint components. A single Srvf
-    gives a TangentVector, a list one Tangents block with a row per SRVF.
-    Registration tries two first-round rigid candidates and runs per curve
-    until its round cost stops decreasing (see register_batch).
+    then removal of the two closure-constraint components. Returns one
+    Tangents block with a row per SRVF. Registration tries two first-round
+    rigid candidates and runs per curve until its round cost stops
+    decreasing (see register_batch).
     """
-    single = isinstance(q, Srvf)
-    regs = register_batch(mean, [q] if single else list(q), rigid_candidates=2)
-    base = mean.q.f
+    regs = register_batch(mean, qs, rigid_candidates=2)
     V = _preshape_tangents(mean, np.stack([star.q.f.values for _, star in regs]))
-    return TangentVector(mean.q, base.with_values(V[0])) if single else Tangents(mean.q, V)
+    return Tangents(mean.q, V)
 
 
 def _medoid(stack: np.ndarray) -> int:
@@ -822,9 +827,7 @@ def shape_karcher_mean(qs: list) -> KarcherMeanResult:
     if len(qs) == 1:
         return KarcherMeanResult(qs[0], 0, 0.0, True, (0.0,))
     stack = np.stack([q.q.f.values for q in qs])
-    scores, angles = _rigid_scores(stack[_medoid(stack)], stack)
-    pick = _local_maxima_offsets(scores, 1)[:, 0]
-    aligned, _ = _apply_rigid(stack, pick, angles[np.arange(len(qs)), pick])
+    aligned, _, _ = _rigid_align(stack[_medoid(stack)], stack, 1)
     mean = project_to_preshape(
         SpherePoint(DiscreteFunction(qs[0].grid, aligned.mean(axis=0), periodic=True)))
 
@@ -875,18 +878,20 @@ def shape_tangent_coordinates(curves: list) -> tuple[Srvf, Tangents]:
     return mean, project_Pi(qs, mean)
 
 
-def shape_variate_direction(mean: Srvf, basis, weights, epsilons) -> list:
-    """Closed curves along a basis direction through the mean shape.
+def shape_variate_direction(basis, weights, epsilons) -> list:
+    """Closed curves along a basis direction through the basis's base point,
+    the mean shape.
 
     Follows the sphere exponential map for each step size, projects all the
-    points to the pre-shape set at once, and integrates each SRVF.
+    points to the pre-shape set at once, and integrates each SRVF. A step
+    with |eps| |v| >= pi raises GeodesicOverflowError.
     """
-    direction = basis.direction(np.asarray(weights, dtype=float))
-    points = [exp_map(mean.q, TangentVector(mean.q, direction.v * float(eps))).f.values
-              for eps in epsilons]
+    points = _geodesic_points(basis.direction(weights), epsilons)
     if not points:
         return []
     # visualization may start far from the constraint set; let the Newton
     # projection run from wherever the exponential map lands
-    closed = _preshape_rows(np.stack(points), mean.grid, max_residual=np.inf)
-    return [srvf_inverse(q) for q in _srvfs(closed, mean.grid)]
+    grid = basis.base.grid
+    closed = _preshape_rows(np.stack([p.f.values for p in points]), grid,
+                            max_residual=np.inf)
+    return [srvf_inverse(q) for q in _srvfs(closed, grid)]

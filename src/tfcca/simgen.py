@@ -66,6 +66,8 @@ class PdfSimSpec:
             raise ValidationError(f"group must be one of {PDF_GROUPS}")
         if self.n < 1:
             raise ValidationError("n must be positive")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,8 @@ class CurveSimSpec:
             # orthogonalized against the first, would be zero
             raise ValidationError(
                 "n must be >= 3: the paired latents need two centred directions")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _normal_pdf(t, mu, sigma):
@@ -191,18 +195,17 @@ class ShapeRecovery:
     rho_truth: float
     rho_separate: np.ndarray
     rho_transport: np.ndarray
-    peak_locations: tuple
 
 
 def _child_seed(rng_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((rng_seed, index)).generate_state(1)[0])
 
 
-def _synthesize(mean, basis, coeffs):
+def _synthesize(basis, coeffs):
     """New densities exp_mean(sum_j x_j e_j)^2 from coefficient rows scaled
-    by RECOVERY_PDF_SCALE."""
+    by RECOVERY_PDF_SCALE, with the mean the basis's base point."""
     rows = RECOVERY_PDF_SCALE * coeffs
-    return [srt_inverse(exp_map(mean.p, basis.direction(row))) for row in rows]
+    return [srt_inverse(exp_map(basis.base, basis.direction(row))) for row in rows]
 
 
 def recovery_protocol_pdf(
@@ -262,8 +265,8 @@ def recovery_protocol_pdf(
     fit = tangent_mode_pipeline(carriers[0], carriers[1], rank=r)
 
     # step 4: synthesize new densities from the step-1 coefficients
-    new1 = _synthesize(fit.mean_1, fit.basis_1, X1)
-    new2 = _synthesize(fit.mean_2, fit.basis_2, X2)
+    new1 = _synthesize(fit.basis_1, X1)
+    new2 = _synthesize(fit.basis_2, X2)
 
     # steps 5-6: re-estimate under the requested mode and run CCA
     res = tangent_mode_pipeline(new1, new2, mode=mode, rank=r)
@@ -305,4 +308,4 @@ def recovery_protocol_shape(
     c1 = coefficients(moved_basis, Tangents(target, rows[:n]))
     rho_tra = cca(c1, sep.c2).correlations
 
-    return ShapeRecovery(rho_truth, rho_sep, rho_tra, (locs1, locs2))
+    return ShapeRecovery(rho_truth, rho_sep, rho_tra)

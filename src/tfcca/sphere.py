@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AntipodeError, ValidationError
+from .errors import AntipodeError, GeodesicOverflowError, ValidationError
 from .numerics import DiscreteFunction, Grid, inner_product, norm
 from .numerics import _check_compatible, _freeze, _integrate_rows
 
@@ -124,6 +124,16 @@ def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
         return base
     vals = np.cos(L) * base.f.values + (np.sin(L) / L) * v.v.values
     return SpherePoint(DiscreteFunction(base.f.grid, vals, base.f.periodic))
+
+
+def _geodesic_points(v: TangentVector, epsilons) -> list:
+    """exp_p(eps v) for each step size eps, with p the base of v. A step of
+    length |eps| |v| >= pi would reach the antipode of p or run past it, so
+    it raises GeodesicOverflowError."""
+    reach = max((abs(eps) for eps in epsilons), default=0.0) * v.length
+    if reach >= np.pi:
+        raise GeodesicOverflowError(f"geodesic overflow: |eps|*|v| = {reach:.4f} >= pi")
+    return [exp_map(v.base, TangentVector(v.base, v.v * float(eps))) for eps in epsilons]
 
 
 def _ip_rows(X: np.ndarray, y: np.ndarray) -> np.ndarray:

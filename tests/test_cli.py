@@ -197,18 +197,10 @@ class TestCrossCca:
         # 14 pdf subjects vs 10 curve subjects -> id mismatch is an error
         assert code == 2
 
-    def test_forced_separate_mode(self, pdf_dataset, shape_dataset, tmp_path):
-        code = run_cli([
-            "cross-cca",
-            "--pdf-input", str(pdf_dataset / "group_a.csv"),
-            "--shape-input", str(shape_dataset / "group_a.jsonl"),
-            "--tangent-mode", "pooled", "--rank", "2",
-            "--out", str(tmp_path / "r.json"),
-        ])
-        assert code == 2
-
-    def test_cross_cca_works_on_matched_ids(self, tmp_path):
-        base = tmp_path / "sim"
+    @pytest.fixture(scope="class")
+    def matched(self, tmp_path_factory):
+        """Ten densities and ten curves with the same ids."""
+        base = tmp_path_factory.mktemp("cross")
         assert run_cli([
             "simulate", "pdf", "--groups", "1,2", "--n", "10", "--seed", "5",
             "--grid", "300", "--out-dir", str(base),
@@ -217,6 +209,25 @@ class TestCrossCca:
             "simulate", "shape", "--regime", "high", "--n", "10", "--seed", "2",
             "--curve-grid", "96", "--out-dir", str(base / "sh"),
         ]) == 0
+        return base
+
+    def test_forced_separate_mode(self, matched, tmp_path, capsys):
+        # the ids match, so only the layout rule can stop the run
+        for mode in ("pooled", "transport"):
+            code = run_cli([
+                "cross-cca",
+                "--pdf-input", str(matched / "group_a.csv"),
+                "--shape-input", str(matched / "sh" / "group_a.jsonl"),
+                "--tangent-mode", mode, "--rank", "2", "--grid", "300",
+                "--curve-grid", "96", "--out", str(tmp_path / "r.json"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 2, mode
+            assert err.startswith("error: validation: ") and err.count("\n") == 1, err
+            assert "separate" in err, err
+
+    def test_cross_cca_works_on_matched_ids(self, matched, tmp_path):
+        base = matched
         out = tmp_path / "rep.json"
         code = run_cli([
             "cross-cca",
@@ -343,6 +354,37 @@ class TestCvrCommand:
         assert run_cli(self._cvr_argv(pdf_dataset, tmp_path)) == code
         err = capsys.readouterr().err
         assert err.startswith(reason) and err.count("\n") == 1, err
+
+
+class TestSubjectOrder:
+    """Subjects are taken in sorted-id order, so a report does not depend on
+    the order of the subjects in input A."""
+
+    def test_cvr_report_ignores_input_a_order(self, pdf_dataset, tmp_path):
+        argv = TestCvrCommand._cvr_argv(pdf_dataset, tmp_path)
+        assert run_cli(argv) == 0
+        ref = (tmp_path / "cvr.json").read_bytes()
+        cols = [0] + (1 + np.random.default_rng(4).permutation(14)).tolist()
+        rows = [line.split(",") for line in
+                (pdf_dataset / "group_a.csv").read_text().splitlines()]
+        (tmp_path / "a.csv").write_text(
+            "".join(",".join(row[c] for c in cols) + "\n" for row in rows))
+        argv[argv.index("--input-a") + 1] = str(tmp_path / "a.csv")
+        assert run_cli(argv) == 0
+        assert (tmp_path / "cvr.json").read_bytes() == ref
+
+    def test_shape_report_ignores_input_a_order(self, shape_dataset, tmp_path):
+        lines = (shape_dataset / "group_a.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "a.jsonl").write_text("".join(lines[::-1]))
+        blobs = []
+        for path_a in (shape_dataset / "group_a.jsonl", tmp_path / "a.jsonl"):
+            assert run_cli([
+                "shape-cca", "--input-a", str(path_a),
+                "--input-b", str(shape_dataset / "group_b.jsonl"),
+                "--rank", "2", "--curve-grid", "96", "--out", str(tmp_path / "r.json"),
+            ]) == 0
+            blobs.append((tmp_path / "r.json").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestSharedOptions:
@@ -547,6 +589,18 @@ MALFORMED = [
     ("two simulated curves", {},
      ["simulate", "shape", "--n", "2", "--curve-grid", "60", "--out-dir", "{tmp}/sim"],
      "n must be >= 3"),
+    ("negative simulate shape seed", {},
+     ["simulate", "shape", "--seed", "-1", "--n", "4", "--curve-grid", "60",
+      "--out-dir", "{tmp}/sim"], "rng_seed must be >= 0, got -1"),
+    ("negative simulate pdf seed", {},
+     ["simulate", "pdf", "--seed", "-1", "--n", "4", "--grid", "60",
+      "--out-dir", "{tmp}/sim"], "rng_seed must be >= 0, got -1"),
+    ("negative cvr seed", {"resp.csv": GOOD_RESPONSE},
+     ["cvr", "--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
+      "--response", "{tmp}/resp.csv", "--d", "1", "--rank", "2", "--grid", "300",
+      "--seed", "-1", "--out", "{tmp}/r.json"], "rng_seed must be >= 0, got -1"),
+    ("non-finite epsilons", {}, ["pdf-cca", "--epsilons", "0,nan"] + PDF_ARGV,
+     "--epsilons values must be finite, got '0,nan'"),
     ("non-integer simulate groups", {},
      ["simulate", "pdf", "--groups", "1,x", "--out-dir", "{tmp}/sim"],
      "bad --groups '1,x'"),

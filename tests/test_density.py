@@ -172,7 +172,7 @@ class TestVariateDirection:
 
     def test_zero_eps_returns_mean(self):
         mean, basis = self._mean_and_basis()
-        out = pdf_variate_direction(mean, basis, [0.7, 0.3], [0.0])
+        out = pdf_variate_direction(basis, [0.7, 0.3], [0.0])
         np.testing.assert_allclose(
             out[0].f.values, srt_inverse(mean).f.values, atol=1e-10
         )
@@ -181,20 +181,18 @@ class TestVariateDirection:
         # step kept small enough that the exponential map stays inside the
         # positive orthant, where squaring is exactly invertible
         mean, basis = self._mean_and_basis()
-        plus, minus = pdf_variate_direction(mean, basis, [1.0, 0.0], [0.1, -0.1])
+        plus, minus = pdf_variate_direction(basis, [1.0, 0.0], [0.1, -0.1])
         d_plus = geodesic_distance(srt(plus).p, mean.p)
         d_minus = geodesic_distance(srt(minus).p, mean.p)
         assert d_plus == pytest.approx(d_minus, abs=1e-8)
 
     def test_outputs_integrate_to_one(self):
         mean, basis = self._mean_and_basis()
-        out = pdf_variate_direction(
-            mean, basis, [0.8, 0.6], [-3, -2, -1, 0, 1, 2, 3]
-        )
+        out = pdf_variate_direction(basis, [0.8, 0.6], [-3, -2, -1, 0, 1, 2, 3])
         for p in out:
             assert integral(p) == pytest.approx(1.0, abs=1e-6)
 
     def test_overflow_raises(self):
         mean, basis = self._mean_and_basis()
         with pytest.raises(GeodesicOverflowError):
-            pdf_variate_direction(mean, basis, [1.0, 0.0], [200.0])
+            pdf_variate_direction(basis, [1.0, 0.0], [200.0])

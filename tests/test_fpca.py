@@ -189,6 +189,13 @@ class TestFitFpca:
                 fit_fpca(tangents, explained=bad)
         assert fit_fpca(tangents, explained=1.0).explained_fraction == pytest.approx(1.0)
 
+    def test_exactly_one_truncation_rule(self):
+        # the layouts' defaults live in tangent_mode_pipeline, not here
+        tangents = block(smooth_tangents(np.random.default_rng(8), smooth_base(), 12))
+        for kwargs in ({}, {"rank": 2, "explained": 0.9}):
+            with pytest.raises(ValidationError, match="exactly one of rank and explained"):
+                fit_fpca(tangents, **kwargs)
+
 
 class TestCoefficients:
     def test_zero_vector(self):

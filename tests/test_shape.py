@@ -9,6 +9,7 @@ from tfcca import (
     ConvergenceError,
     Curve,
     DiscreteFunction,
+    GeodesicOverflowError,
     Grid,
     ValidationError,
     cca,
@@ -48,7 +49,7 @@ from tfcca.shape import (
     register_batch,
 )
 from tfcca.simgen import CurveSimSpec, gen_curve_group
-from tfcca.sphere import SpherePoint
+from tfcca.sphere import SpherePoint, TangentVector
 
 G = Grid(200)
 THETA = 2 * np.pi * G.points
@@ -559,7 +560,7 @@ class TestRegister:
         for _ in range(3):
             c1 = bumpy_curve(list(rng.uniform(0, 2 * np.pi, 2)))
             c2 = bumpy_curve(list(rng.uniform(0, 2 * np.pi, 2)))
-            reg, _ = register(srvf(c1), srvf(c2), rounds=3)
+            reg, _ = register_batch(srvf(c1), [srvf(c2)], rounds=3)[0]
             diffs = np.diff(reg.round_costs)
             assert np.all(diffs <= 1e-6)
 
@@ -765,10 +766,15 @@ class TestSubjectOrder:
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
 
 
+def project_one(q, mean):
+    """Row 0 of project_Pi's block for one SRVF, as a TangentVector."""
+    return TangentVector(mean.q, mean.q.f.with_values(project_Pi([q], mean).values[0]))
+
+
 class TestProjectPi:
     def test_mean_projects_to_zero(self):
         q = srvf(bumpy_curve([np.pi / 2, 1.0]))
-        v = project_Pi(q, q)
+        v = project_one(q, q)
         assert v.length < 1e-6
 
     def test_orthogonal_to_mean_and_constraints(self):
@@ -776,7 +782,7 @@ class TestProjectPi:
 
         mean = srvf(bumpy_curve([np.pi / 2, 4.0]))
         q = srvf(bumpy_curve([np.pi / 2, 4.15], kappa=25.0))
-        v = project_Pi(q, mean)
+        v = project_one(q, mean)
         phi1, phi2 = preshape_normal_basis(mean)
         assert abs(inner_product(v.v, mean.q.f)) < 1e-6
         assert abs(inner_product(v.v, phi1)) < 1e-6
@@ -787,7 +793,7 @@ class TestProjectPi:
 
         mean = srvf(bumpy_curve([np.pi / 2, 4.0]))
         q = srvf(bumpy_curve([np.pi / 2, 4.1]))
-        v = project_Pi(q, mean)
+        v = project_one(q, mean)
         rec = project_to_preshape(exp_map(mean.q, v))
         assert shape_distance(rec, q) < 0.05
 
@@ -806,17 +812,24 @@ class TestVariateDirection:
 
     def test_zero_eps_gives_mean_curve(self):
         mean, basis = self._mean_basis()
-        out = shape_variate_direction(mean, basis, [1.0, 0.5], [0.0])
+        out = shape_variate_direction(basis, [1.0, 0.5], [0.0])
         ref = srvf_inverse(mean)
         np.testing.assert_allclose(out[0].beta.values, ref.beta.values, atol=1e-8)
 
     def test_no_steps_give_no_curves(self):
         mean, basis = self._mean_basis()
-        assert shape_variate_direction(mean, basis, [1.0, 0.0], []) == []
+        assert shape_variate_direction(basis, [1.0, 0.0], []) == []
+
+    def test_overflow_raises(self):
+        # the density rule |eps| |v| < pi; a longer step would pass the
+        # antipode of the mean
+        _, basis = self._mean_basis()
+        with pytest.raises(GeodesicOverflowError):
+            shape_variate_direction(basis, [1.0, 0.0], [0.5, 4.0])
 
     def test_outputs_closed(self):
         mean, basis = self._mean_basis()
-        curves = shape_variate_direction(mean, basis, [1.0, 0.0], [-2, -1, 0, 1, 2])
+        curves = shape_variate_direction(basis, [1.0, 0.0], [-2, -1, 0, 1, 2])
         for c in curves:
             np.testing.assert_allclose(c.beta.values[0], c.beta.values[-1])
 
