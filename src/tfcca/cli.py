@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -330,65 +331,50 @@ def _emit_direction_csv(directory, directions):
                     writer.writerow([f"{ti:.10g}"] + [repr(x) for x in values])
 
 
-def _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta):
-    report = {
-        "schema": SCHEMA,
-        "command": command,
-        "tool_version": __version__,
-        "mode": result.mode,
-        "subjects": ids,
-        "ranks": [result.basis_1.rank, result.basis_2.rank],
-        "explained_fraction": [
-            result.basis_1.explained_fraction,
-            result.basis_2.explained_fraction,
-        ],
-        "eigenvalues": [result.basis_1.eigenvalues, result.basis_2.eigenvalues],
-        "correlations": res_cca.correlations,
-        "weights": {"group_a": res_cca.weights_1, "group_b": res_cca.weights_2},
-        "variates": {"group_a": res_cca.variates_1, "group_b": res_cca.variates_2},
-        "variate_directions": _direction_entries(result, res_cca, epsilons, args.directions),
-        "metadata": {
-            "effective_options": {
-                **_shared_options(args),
-                "ridge": args.ridge,
-                "epsilons": list(epsilons),
-                "directions": args.directions,
-                "direction_weights": "unit-norm canonical weight columns",
-            },
-            "ingestion": ingest_meta,
-        },
-    }
-    return report
+def _write_framed(path, command, options, body, ingestion=None):
+    """Write body as a report inside the frame every report shares: schema,
+    command, tool version, and metadata echoing the effective options and,
+    for a command that reads inputs, their ingestion."""
+    metadata = {"effective_options": options}
+    if ingestion is not None:
+        metadata["ingestion"] = ingestion
+    write_report({"schema": SCHEMA, "command": command, "tool_version": __version__,
+                  **body, "metadata": metadata}, path)
 
 
-def _run_paired_analysis(command, kind_a, kind_b, path_a, path_b, args):
-    ids, group_a, group_b, ingest_meta = _ingest(kind_a, kind_b, path_a, path_b, args)
+# ---------------------------------------------------------------------------
+# commands
+
+def _run_paired_analysis(kind_a, kind_b, dest_a, dest_b, args):
+    """pdf-cca, shape-cca and cross-cca: CCA of inputs A and B (options
+    dest_a and dest_b, read as kind_a and kind_b data)."""
+    ids, group_a, group_b, ingest_meta = _ingest(
+        kind_a, kind_b, getattr(args, dest_a), getattr(args, dest_b), args)
     epsilons = _parse_floats("--epsilons", args.epsilons)
     if args.directions < 0:
         raise ValidationError(f"--directions must be >= 0, got {args.directions}")
     result = tangent_mode_pipeline(group_a, group_b, mode=args.tangent_mode,
                                    rank=args.rank, explained=args.explained)
     res_cca = cca(result.c1, result.c2, ridge=args.ridge)
-    report = _analysis_report(command, args, ids, result, res_cca, epsilons, ingest_meta)
-    write_report(report, args.out)
+    bases = (result.basis_1, result.basis_2)
+    directions = _direction_entries(result, res_cca, epsilons, args.directions)
+    options = {**_shared_options(args), "ridge": args.ridge, "epsilons": list(epsilons),
+               "directions": args.directions,
+               "direction_weights": "unit-norm canonical weight columns"}
+    _write_framed(args.out, args.cmd, options, {
+        "mode": result.mode,
+        "subjects": ids,
+        "ranks": [b.rank for b in bases],
+        "explained_fraction": [b.explained_fraction for b in bases],
+        "eigenvalues": [b.eigenvalues for b in bases],
+        "correlations": res_cca.correlations,
+        "weights": {"group_a": res_cca.weights_1, "group_b": res_cca.weights_2},
+        "variates": {"group_a": res_cca.variates_1, "group_b": res_cca.variates_2},
+        "variate_directions": directions,
+    }, ingest_meta)
     if args.emit_csv:
-        _emit_direction_csv(args.emit_csv, report["variate_directions"])
+        _emit_direction_csv(args.emit_csv, directions)
     print(f"wrote {args.out}")
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-def cmd_pdf_cca(args):
-    _run_paired_analysis("pdf-cca", "pdf", "pdf", args.input_a, args.input_b, args)
-
-
-def cmd_shape_cca(args):
-    _run_paired_analysis("shape-cca", "curve", "curve", args.input_a, args.input_b, args)
-
-
-def cmd_cross_cca(args):
-    _run_paired_analysis("cross-cca", "pdf", "curve", args.pdf_input, args.shape_input, args)
 
 
 def cmd_cvr(args):
@@ -400,41 +386,30 @@ def cmd_cvr(args):
 
     result = tangent_mode_pipeline(group_a, group_b, mode=args.tangent_mode,
                                    rank=args.rank, explained=args.explained)
-    trace, details = cvr_cross_validate(
+    cv = cvr_cross_validate(
         result.c1, result.c2, y, args.d, eta_grid,
         split=args.splits, repeats=args.repeats, rng_seed=args.seed,
     )
-    final = cvr_fit(result.c1, result.c2, y, args.d, trace.chosen_eta)
-    unconverged = details["unconverged_fits"]
-    if unconverged or not final.converged:
+    final = cvr_fit(result.c1, result.c2, y, args.d, cv.chosen_eta)
+    if cv.unconverged_fits or not final.converged:
         warnings.warn(
-            f"cvr: {unconverged} of {len(eta_grid) * args.repeats} cross-validation "
-            f"fits did not converge, final fit converged: {final.converged} "
-            "(CVR_MAX_ITER sweeps ran out before the objective settled)"
+            f"cvr: {cv.unconverged_fits} of {len(eta_grid) * args.repeats} "
+            "cross-validation fits did not converge, final fit converged: "
+            f"{final.converged} (CVR_MAX_ITER sweeps ran out before the objective settled)"
         )
     risk = -cvr_predict(final, result.c1, result.c2)
-    report = {
-        "schema": SCHEMA,
-        "command": "cvr",
-        "tool_version": __version__,
+    # the table-style aggregates, mean (sd) over the repeated held-out
+    # splits; the rest of the record is the cross_validation section
+    record = dict(vars(cv))
+    aggregates = {k: record.pop(k) for k in ("mse_mean", "mse_sd", "cindex_mean", "cindex_sd")}
+    options = {"d": args.d, "eta_grid": list(eta_grid), "splits": args.splits,
+               "repeats": args.repeats, "seed": args.seed, **_shared_options(args),
+               "log_response": args.log_response,
+               "risk_score": "negated linear predictor"}
+    _write_framed(args.out, "cvr", options, {
         "subjects": ids,
-        "cross_validation": {
-            "eta_grid": list(trace.eta_grid),
-            "mse_by_eta": list(trace.mse_by_eta),
-            "mse_sd_by_eta": list(details["mse_sd_by_eta"]),
-            "chosen_eta": trace.chosen_eta,
-            "repeat_eta": details["repeat_eta"],
-            "repeat_mse": details["repeat_mse"],
-            "repeat_cindex": details["repeat_cindex"],
-            "unconverged_fits": unconverged,
-        },
-        # Table-style aggregate: mean (sd) over repeated held-out splits
-        "aggregates": {
-            "mse_mean": details["mse_mean"],
-            "mse_sd": details["mse_sd"],
-            "cindex_mean": details["cindex_mean"],
-            "cindex_sd": details["cindex_sd"],
-        },
+        "aggregates": aggregates,
+        "cross_validation": record,
         "full_fit": {
             "eta": final.eta,
             "alpha": final.alpha,
@@ -444,26 +419,12 @@ def cmd_cvr(args):
             "converged": final.converged,
             "in_sample_cindex": concordance_index(risk, y),
         },
-        "metadata": {
-            "effective_options": {
-                "d": args.d,
-                "eta_grid": list(eta_grid),
-                "splits": args.splits,
-                "repeats": args.repeats,
-                "seed": args.seed,
-                **_shared_options(args),
-                "log_response": args.log_response,
-                "risk_score": "negated linear predictor",
-            },
-            "ingestion": ingest_meta,
-        },
-    }
-    write_report(report, args.out)
+    }, ingest_meta)
     print(f"wrote {args.out}")
     print(
-        f"MSE {details['mse_mean']:.4f} ({details['mse_sd']:.4f})  "
-        f"C-index {details['cindex_mean']:.4f} ({details['cindex_sd']:.4f})  "
-        f"eta* {trace.chosen_eta:g}"
+        f"MSE {cv.mse_mean:.4f} ({cv.mse_sd:.4f})  "
+        f"C-index {cv.cindex_mean:.4f} ({cv.cindex_sd:.4f})  "
+        f"eta* {cv.chosen_eta:g}"
     )
 
 
@@ -523,17 +484,9 @@ def cmd_simulate(args):
         truth["peak_locations_a"] = locs["a"]
         truth["peak_locations_b"] = locs["b"]
         truth["latent_correlation"] = float(np.corrcoef(locs["a"], locs["b"])[0, 1])
-    sidecar = {
-        "schema": SCHEMA,
-        "command": "simulate",
-        "tool_version": __version__,
-        "outputs": [os.path.basename(p) for p in outputs],
-        "truth": truth,
-        "metadata": {
-            "effective_options": {k: v for k, v in vars(args).items() if k != "func"}
-        },
-    }
-    write_report(sidecar, os.path.join(args.out_dir, "truth.json"))
+    _write_framed(os.path.join(args.out_dir, "truth.json"), "simulate",
+                  {k: v for k, v in vars(args).items() if k != "func"},
+                  {"outputs": [os.path.basename(p) for p in outputs], "truth": truth})
     print(f"wrote {len(outputs)} data files + truth.json to {args.out_dir}")
 
 
@@ -572,17 +525,19 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    for name, help_text, inputs, func in (
+    # each paired analysis: its name, help, and the flag and data kind of
+    # input A and of input B
+    for name, help_text, (flag_a, kind_a), (flag_b, kind_b) in (
         ("pdf-cca", "CCA between two paired density groups",
-         ("--input-a", "--input-b"), cmd_pdf_cca),
+         ("--input-a", "pdf"), ("--input-b", "pdf")),
         ("shape-cca", "CCA between two paired curve groups",
-         ("--input-a", "--input-b"), cmd_shape_cca),
+         ("--input-a", "curve"), ("--input-b", "curve")),
         ("cross-cca", "CCA between densities and curves",
-         ("--pdf-input", "--shape-input"), cmd_cross_cca),
+         ("--pdf-input", "pdf"), ("--shape-input", "curve")),
     ):
         p = sub.add_parser(name, help=help_text)
-        for flag in inputs:
-            p.add_argument(flag, required=True)
+        dest_a = p.add_argument(flag_a, required=True).dest
+        dest_b = p.add_argument(flag_b, required=True).dest
         _add_paired_input_args(p)
         p.add_argument("--ridge", type=float, default=0.0, help="CCA ridge stabilizer")
         p.add_argument(
@@ -595,7 +550,8 @@ def build_parser():
         )
         p.add_argument("--emit-csv", default=None, metavar="DIR",
                        help="also write per-direction CSV function tables")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_run_paired_analysis, kind_a, kind_b,
+                                              dest_a, dest_b))
 
     p = sub.add_parser("cvr", help="canonical variate regression with CV over eta")
     p.add_argument("--input-a", required=True)

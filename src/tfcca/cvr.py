@@ -60,11 +60,24 @@ class CvrResult:
 
 @dataclass(frozen=True)
 class CvTrace:
-    """Cross-validation summary: mean held-out MSE per eta value."""
+    """Cross-validation record, under the cvr report's key names: the
+    held-out MSE per eta (mean and sd over repeats) and the chosen eta; per
+    repeat the winning eta, its MSE and C-index; the fits that reached
+    CVR_MAX_ITER sweeps without meeting CVR_TOL; and the mean and sd over
+    repeats of the winners' MSE and C-index."""
 
     eta_grid: tuple
     mse_by_eta: tuple
+    mse_sd_by_eta: tuple
     chosen_eta: float
+    repeat_eta: np.ndarray
+    repeat_mse: np.ndarray
+    repeat_cindex: np.ndarray
+    unconverged_fits: int
+    mse_mean: float
+    mse_sd: float
+    cindex_mean: float
+    cindex_sd: float
 
 
 def _check_inputs(X1, X2, y, d: int, etas):
@@ -251,10 +264,7 @@ def cvr_cross_validate(
     repeats x len(eta_grid) descents then run as one stack with an active
     mask, and each repeat is scored from its own small matrices.
 
-    Returns (CvTrace, details) where details carries per-repeat chosen etas,
-    MSEs, C-indices, mean/sd aggregates, and unconverged_fits: how many of
-    the cross-validation fits reached CVR_MAX_ITER sweeps without meeting
-    CVR_TOL.
+    Returns one CvTrace.
     """
     X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
     y = np.asarray(y, dtype=float)
@@ -307,22 +317,21 @@ def cvr_cross_validate(
 
     mse_by_eta = mse_matrix.mean(axis=0)
     floor = mse_by_eta.min()
-    chosen = max(e for e, m in zip(eta_grid, mse_by_eta) if m <= floor)
-    trace = CvTrace(eta_grid, tuple(mse_by_eta), float(chosen))
-    details = {
-        "repeat_eta": rep_eta,
-        "repeat_mse": rep_mse,
-        "repeat_cindex": rep_cindex,
-        "mse_mean": float(rep_mse.mean()),
-        "mse_sd": float(rep_mse.std(ddof=1)) if repeats > 1 else 0.0,
-        "cindex_mean": float(rep_cindex.mean()),
-        "cindex_sd": float(rep_cindex.std(ddof=1)) if repeats > 1 else 0.0,
-        "mse_sd_by_eta": tuple(
-            mse_matrix.std(axis=0, ddof=1) if repeats > 1 else np.zeros(len(eta_grid))
-        ),
-        "unconverged_fits": int(np.count_nonzero(~converged)),
-    }
-    return trace, details
+    ddof = min(repeats - 1, 1)  # sample sd; the sd of one repeat is 0
+    return CvTrace(
+        eta_grid=eta_grid,
+        mse_by_eta=tuple(mse_by_eta),
+        mse_sd_by_eta=tuple(mse_matrix.std(axis=0, ddof=ddof)),
+        chosen_eta=float(max(e for e, m in zip(eta_grid, mse_by_eta) if m <= floor)),
+        repeat_eta=rep_eta,
+        repeat_mse=rep_mse,
+        repeat_cindex=rep_cindex,
+        unconverged_fits=int(np.count_nonzero(~converged)),
+        mse_mean=float(rep_mse.mean()),
+        mse_sd=float(rep_mse.std(ddof=ddof)),
+        cindex_mean=float(rep_cindex.mean()),
+        cindex_sd=float(rep_cindex.std(ddof=ddof)),
+    )
 
 
 def concordance_index(risk, time) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cca import _dominant_signs
 from .density import Pdf, pdf_tangent_coordinates
 from .errors import RankError, ValidationError
 from .numerics import _freeze, norm, trapezoid_weights
@@ -109,7 +110,7 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
     # L2-orthonormal eigenfunctions of the covariance operator, with
     # deterministic signs, reshaped back to function samples
     E = Vt[:rank] / root_w
-    E *= np.sign(E[np.arange(rank), np.abs(E).argmax(axis=1)])[:, None]
+    E *= _dominant_signs(E.T)[:, None]
     if base.f.is_planar:
         E = E.reshape(rank, 2, -1).transpose(0, 2, 1)
     if base.f.periodic:

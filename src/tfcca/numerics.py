@@ -69,7 +69,8 @@ class DiscreteFunction:
     periodic: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # a copy: the caller's array stays writeable and shares nothing
+        v = np.array(self.values, dtype=float)
         if v.ndim not in (1, 2) or (v.ndim == 2 and v.shape[1] != 2):
             raise ValidationError(f"values must be (n,) or (n,2), got {v.shape}")
         if v.shape[0] != self.grid.n_points:

@@ -284,12 +284,12 @@ def test_criterion_6_cvr_endpoints():
     M = rng.standard_normal((3, 3)) + 3 * np.eye(3)
     S2 = S1 @ M
     y_lin = 0.7 + 1.3 * z
-    _, details = cvr_cross_validate(
+    cv = cvr_cross_validate(
         S1, S2, y_lin, 1, (0.0, 0.5, 1.0), repeats=20, rng_seed=0
     )
     checks.append(
-        (f"shared-signal held-out MSE {details['mse_mean']:.2e} < 1e-4",
-         details["mse_mean"] < 1e-4)
+        (f"shared-signal held-out MSE {cv.mse_mean:.2e} < 1e-4",
+         cv.mse_mean < 1e-4)
     )
 
     # concordance index exact endpoint cases

@@ -184,18 +184,23 @@ class TestShapeCca:
 
 
 class TestCrossCca:
-    def test_mixed_kinds(self, pdf_dataset, shape_dataset, tmp_path):
-        # rebuild the shape ids to match the pdf ids (both s0000...)
-        out = tmp_path / "rep.json"
+    def test_mixed_kinds(self, matched, tmp_path):
+        # cvr infers each input's kind from its file: densities from the
+        # CSV as input A, curves from the JSON-lines records as input B;
+        # distinct responses, so every held-out pair is comparable
+        resp = tmp_path / "resp.csv"
+        resp.write_text("id,months\n" + "".join(f"s{i:04d},{10 + i}\n" for i in range(10)))
+        out = tmp_path / "cvr.json"
         code = run_cli([
-            "cross-cca",
-            "--pdf-input", str(pdf_dataset / "group_a.csv"),
-            "--shape-input", str(shape_dataset / "group_a.jsonl"),
-            "--rank", "2", "--grid", "300", "--curve-grid", "96",
-            "--directions", "1", "--out", str(out),
+            "cvr", "--input-a", str(matched / "group_a.csv"),
+            "--input-b", str(matched / "sh" / "group_a.jsonl"),
+            "--response", str(resp), "--d", "1", "--rank", "2", "--grid", "300",
+            "--curve-grid", "96", "--repeats", "4", "--out", str(out),
         ])
-        # 14 pdf subjects vs 10 curve subjects -> id mismatch is an error
-        assert code == 2
+        assert code == 0
+        ingestion = load_report(str(out))["metadata"]["ingestion"]
+        assert ingestion["input_a"]["format"] == "csv"
+        assert ingestion["input_b"]["format"] == "jsonl-curves"
 
     @pytest.fixture(scope="class")
     def matched(self, tmp_path_factory):

@@ -213,12 +213,12 @@ class TestCrossValidate:
         C1, C2 = correlated_views(rng, n=40, r=3, shared=1)
         y = rng.standard_normal(40)
         grid = (0.0, 0.5, 1.0)
-        t1, d1 = cvr_cross_validate(C1, C2, y, 1, grid, repeats=4, rng_seed=11)
-        t2, d2 = cvr_cross_validate(C1, C2, y, 1, grid, repeats=4, rng_seed=11)
-        assert t1.mse_by_eta == t2.mse_by_eta
-        assert t1.chosen_eta == t2.chosen_eta
-        assert np.array_equal(d1["repeat_mse"], d2["repeat_mse"])
-        assert np.array_equal(d1["repeat_cindex"], d2["repeat_cindex"])
+        cv1 = cvr_cross_validate(C1, C2, y, 1, grid, repeats=4, rng_seed=11)
+        cv2 = cvr_cross_validate(C1, C2, y, 1, grid, repeats=4, rng_seed=11)
+        assert cv1.mse_by_eta == cv2.mse_by_eta
+        assert cv1.chosen_eta == cv2.chosen_eta
+        assert np.array_equal(cv1.repeat_mse, cv2.repeat_mse)
+        assert np.array_equal(cv1.repeat_cindex, cv2.repeat_cindex)
 
     def test_shared_variate_signal_recovered(self):
         # constructed signal: y is exactly linear in a variate present in
@@ -230,23 +230,23 @@ class TestCrossValidate:
         M = rng.standard_normal((3, 3)) + 3 * np.eye(3)
         C2 = C1 @ M
         y = 1.5 + 2.0 * z
-        trace, details = cvr_cross_validate(
+        cv = cvr_cross_validate(
             C1, C2, y, 1, (0.0, 0.5, 1.0), repeats=10, rng_seed=0
         )
-        assert details["mse_mean"] < 1e-6
+        assert cv.mse_mean < 1e-6
 
     def test_chosen_eta_attains_minimum_with_ties_up(self):
         rng = np.random.default_rng(10)
         C1, C2 = correlated_views(rng, n=40, r=3, shared=1)
         y = rng.standard_normal(40)
-        trace, _ = cvr_cross_validate(
+        cv = cvr_cross_validate(
             C1, C2, y, 1, (0.0, 0.3, 0.6, 1.0), repeats=5, rng_seed=3
         )
-        best = min(trace.mse_by_eta)
-        assert trace.mse_by_eta[trace.eta_grid.index(trace.chosen_eta)] == best
-        for eta, mse in zip(trace.eta_grid, trace.mse_by_eta):
+        best = min(cv.mse_by_eta)
+        assert cv.mse_by_eta[cv.eta_grid.index(cv.chosen_eta)] == best
+        for eta, mse in zip(cv.eta_grid, cv.mse_by_eta):
             if mse == best:
-                assert eta <= trace.chosen_eta
+                assert eta <= cv.chosen_eta
 
     @pytest.mark.parametrize("d,r1,r2,grid,repeats", [
         (1, 3, 4, (0.0, 0.5, 1.0), 4),
@@ -259,17 +259,16 @@ class TestCrossValidate:
         C2, _ = correlated_views(rng, n=50, r=r2, shared=2)
         C2[:, :2] += C1[:, :2]
         y = 0.5 + C1[:, 0] - C2[:, 1] + rng.standard_normal(50)
-        trace, details = cvr_cross_validate(C1, C2, y, d, grid, repeats=repeats,
-                                            rng_seed=5)
+        cv = cvr_cross_validate(C1, C2, y, d, grid, repeats=repeats, rng_seed=5)
         mse, rep_eta, rep_cindex = reference_cross_validate(
             C1, C2, y, d, grid, 0.8, repeats, 5)
         floor = mse.mean(axis=0).min()
-        assert trace.chosen_eta == max(
+        assert cv.chosen_eta == max(
             e for e, m in zip(grid, mse.mean(axis=0)) if m <= floor)
-        assert np.array_equal(details["repeat_eta"], rep_eta)
-        assert np.array_equal(details["repeat_cindex"], rep_cindex)
-        np.testing.assert_allclose(trace.mse_by_eta, mse.mean(axis=0), rtol=1e-9)
-        np.testing.assert_allclose(details["repeat_mse"], mse.min(axis=1), rtol=1e-9)
+        assert np.array_equal(cv.repeat_eta, rep_eta)
+        assert np.array_equal(cv.repeat_cindex, rep_cindex)
+        np.testing.assert_allclose(cv.mse_by_eta, mse.mean(axis=0), rtol=1e-9)
+        np.testing.assert_allclose(cv.repeat_mse, mse.min(axis=1), rtol=1e-9)
 
     @pytest.mark.parametrize("case,reason", [
         ("misaligned rows", "aligned rows"),

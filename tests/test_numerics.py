@@ -152,6 +152,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             a.values[0] = 5.0
 
+    def test_values_share_nothing_with_the_callers_array(self):
+        # construction leaves the caller's array writeable, and a later
+        # write through a view's base does not reach the stored values
+        a = np.linspace(0.0, 1.0, 5)
+        DiscreteFunction(Grid(5), a)
+        assert a.flags.writeable
+        s = np.zeros((3, 5))
+        f = DiscreteFunction(Grid(5), s[0])
+        s[0, 0] = 7.0
+        assert f.values[0] == 0.0
+
 
 class TestCachedArrays:
     def test_grid_points_built_once_and_read_only(self):

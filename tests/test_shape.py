@@ -375,6 +375,23 @@ class TestDpReference:
         np.testing.assert_array_equal(costs, ref_costs)
         np.testing.assert_array_equal(gammas, ref_gammas)
 
+    @pytest.mark.parametrize("offsets", [np.arange(-2, 3), np.array([0, 5, 11, 17])],
+                             ids=["window", "spread"])
+    def test_tied_slopes_keep_the_first(self, offsets):
+        # every curve stands still over samples 8..16, where its SRVF
+        # vanishes: a segment inside that stretch costs exactly 0, so slopes
+        # whose predecessors share a cost tie exactly on the optimal path,
+        # and only the first-slope rule gives the reference's warp
+        spec = CurveSimSpec("high", 3, Grid(25), rng_seed=7)
+        q1 = srvf(gen_curve_group(spec, 1)[0][0]).q.f.values.copy()
+        q2 = np.stack([srvf(c).q.f.values for c in gen_curve_group(spec, 2)[0]])
+        q1[8:17] = 0.0
+        q2[:, 8:17] = 0.0
+        gammas, costs = _dp_align_batch(q1, q2, offsets)
+        ref_gammas, ref_costs = reference_dp(q1, q2, offsets)
+        np.testing.assert_array_equal(costs, ref_costs)
+        np.testing.assert_array_equal(gammas, ref_gammas)
+
 
 def oracle_segment_costs(q1_vals, q2_stack, p, s):
     """Float64 segment costs of slope (p, s), cost[b, a, u] for the segment
