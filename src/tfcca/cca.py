@@ -1,9 +1,10 @@
 """Multivariate canonical correlation analysis on coefficient matrices.
 
 The primary route is QR + SVD on the centered matrices, which avoids forming
-and inverting covariance blocks. cca_oracle solves the classical generalized
-eigenproblem on explicit covariance blocks and exists as an independent
-cross-check.
+and inverting covariance blocks; a ridge joins the QR as extra rows, so it
+does not square the condition number either. cca_oracle solves the
+classical generalized eigenproblem on explicit covariance blocks and exists
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -46,50 +47,60 @@ def _as_matrix(C, name: str) -> np.ndarray:
     return M
 
 
-def _check_r_factors(R1: np.ndarray, R2: np.ndarray, ridge: float = 0.0):
-    """Reject the R factors of the centered views C1 and C2 unless a ridge
-    stabilizes them: first a rank-deficient one (ValidationError), then an
-    ill-conditioned one (NumericalError), C1 before C2 in each case."""
-    if ridge > 0.0:
-        return
-    diagonals = (("C1", np.abs(np.diag(R1))), ("C2", np.abs(np.diag(R2))))
-    for name, d in diagonals:
-        if d.min() <= d.max() * 1e-12:
-            raise ValidationError(
-                f"{name} is rank-deficient (a column has no variance after "
-                "centering, or there are fewer rows than columns); cca needs "
-                "ridge > 0 (e.g. 1e-8 * trace of its covariance)"
-            )
-    for name, d in diagonals:
-        if d.max() / d.min() > _COND_LIMIT:
-            raise NumericalError(
-                f"{name} is ill-conditioned (R condition {d.max() / d.min():.2e}); "
-                "supply ridge > 0"
-            )
-
-
 def _dominant_signs(A: np.ndarray) -> np.ndarray:
     """Sign of the largest-magnitude entry of each column of A (the first
     such entry on a tie)."""
     return np.sign(A[np.abs(A).argmax(axis=0), np.arange(A.shape[1])])
 
 
-def _canonical_svd(M: np.ndarray):
-    """Thin SVD M = U diag(sig) V^T with deterministic signs: the dominant
-    entry of each left vector is positive, and its right vector flips with
-    it so pair correlations stay nonnegative. Returns (U, sig, V)."""
+def _canonical_frame(X1: np.ndarray, X2: np.ndarray, ridge: float = 0.0):
+    """The two-view frame that cca and cvr share.
+
+    Centers each view and QR-factors it with sqrt(ridge) * I stacked below,
+    so that R_k^T R_k = X_kc^T X_kc + ridge * I and the top n rows of Q_k,
+    X_kc R_k^-1, span the centered view X_kc. The R factors are then
+    rejected, at every ridge, first when one is rank-deficient
+    (ValidationError), then when one is ill-conditioned (NumericalError),
+    C1 before C2 in each case. Returns (m1, m2, Q1, Q2, R1, R2, M, U, sig,
+    V): the column means, the top-n Q factors, the R factors, M = Q1^T Q2
+    and its thin SVD M = U diag(sig) V^T with deterministic signs (the
+    dominant entry of each column of U is positive, and V flips with it so
+    pair correlations stay nonnegative).
+    """
+    n = X1.shape[0]
+    m1, m2 = X1.mean(axis=0), X2.mean(axis=0)
+    Q1, R1 = np.linalg.qr(np.vstack([X1 - m1, np.sqrt(ridge) * np.eye(X1.shape[1])]))
+    Q2, R2 = np.linalg.qr(np.vstack([X2 - m2, np.sqrt(ridge) * np.eye(X2.shape[1])]))
+    diagonals = (("C1", np.abs(np.diag(R1))), ("C2", np.abs(np.diag(R2))))
+    for name, d in diagonals:
+        if d.min() <= d.max() * 1e-12:
+            raise ValidationError(
+                f"{name} is rank-deficient at ridge {ridge:g} (a column has no "
+                "variance after centering, or there are fewer rows than "
+                "columns); cca needs a larger ridge (e.g. 1e-8 * trace of its "
+                "covariance)"
+            )
+    for name, d in diagonals:
+        if d.max() / d.min() > _COND_LIMIT:
+            raise NumericalError(
+                f"{name} is ill-conditioned at ridge {ridge:g} (R condition "
+                f"{d.max() / d.min():.2e}); cca needs a larger ridge"
+            )
+    Q1, Q2 = Q1[:n], Q2[:n]
+    M = Q1.T @ Q2
     U, sig, Vt = np.linalg.svd(M, full_matrices=False)
     flips = _dominant_signs(U)
-    return U * flips, sig, Vt.T * flips
+    return m1, m2, Q1, Q2, R1, R2, M, U * flips, sig, Vt.T * flips
 
 
 def cca(C1, C2, ridge: float = 0.0):
     """Canonical correlation analysis between two coefficient matrices.
 
-    Centers both matrices, takes thin QR factors, and reads the canonical
-    correlations off the singular values of Q1^T Q2. Weights are back-solved
-    through the (optionally ridge-stabilized) R factors. The number of pairs
-    is min(r1, r2).
+    Centers both matrices, QR-factors them, and reads the canonical
+    correlations off the singular values of Q1^T Q2 (_canonical_frame). A
+    ridge adds ridge * I to each view's centered cross-product, and the rank
+    and condition checks apply at every ridge. Weights are back-solved
+    through the R factors. The number of pairs is min(r1, r2).
     """
     X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
     if X1.shape[0] != X2.shape[0]:
@@ -102,25 +113,10 @@ def cca(C1, C2, ridge: float = 0.0):
     if not (np.isfinite(ridge) and ridge >= 0):
         raise ValidationError(f"ridge must be a finite number >= 0, got {ridge}")
 
-    m1, m2 = X1.mean(axis=0), X2.mean(axis=0)
-    X1c, X2c = X1 - m1, X2 - m2
-    Q1, R1 = np.linalg.qr(X1c)
-    Q2, R2 = np.linalg.qr(X2c)
-    _check_r_factors(R1, R2, ridge)
-
-    if ridge == 0.0:
-        M = Q1.T @ Q2
-        S1, S2 = R1, R2
-    else:
-        S1 = np.linalg.cholesky(R1.T @ R1 + ridge * np.eye(R1.shape[1])).T
-        S2 = np.linalg.cholesky(R2.T @ R2 + ridge * np.eye(R2.shape[1])).T
-        cross = X1c.T @ X2c
-        M = np.linalg.solve(S1.T, np.linalg.solve(S2.T, cross.T).T)
-
-    U, sig, V = _canonical_svd(M)
-    W1 = np.linalg.solve(S1, U) * np.sqrt(n - 1)
-    W2 = np.linalg.solve(S2, V) * np.sqrt(n - 1)
-    V1, V2 = X1c @ W1, X2c @ W2
+    m1, m2, _, _, R1, R2, _, U, sig, V = _canonical_frame(X1, X2, ridge)
+    W1 = np.linalg.solve(R1, U) * np.sqrt(n - 1)
+    W2 = np.linalg.solve(R2, V) * np.sqrt(n - 1)
+    V1, V2 = (X1 - m1) @ W1, (X2 - m2) @ W2
     # exact unit sample variance even when a ridge perturbed the scaling
     sd1 = np.sqrt((V1 * V1).sum(axis=0) / (n - 1))
     sd2 = np.sqrt((V2 * V2).sum(axis=0) / (n - 1))

@@ -401,6 +401,8 @@ def cmd_cvr(args):
     # the table-style aggregates, mean (sd) over the repeated held-out
     # splits; the rest of the record is the cross_validation section
     record = dict(vars(cv))
+    # a repeat with no C-index is null, so the report stays strict JSON
+    record["repeat_cindex"] = [None if np.isnan(c) else c for c in cv.repeat_cindex.tolist()]
     aggregates = {k: record.pop(k) for k in ("mse_mean", "mse_sd", "cindex_mean", "cindex_sd")}
     options = {"d": args.d, "eta_grid": list(eta_grid), "splits": args.splits,
                "repeats": args.repeats, "seed": args.seed, **_shared_options(args),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import _as_matrix, _canonical_svd, _check_r_factors, _dominant_signs
+from .cca import _as_matrix, _canonical_frame, _dominant_signs
 from .errors import ValidationError
 
 # block-coordinate descent stops once the objective falls by no more than
@@ -62,9 +62,10 @@ class CvrResult:
 class CvTrace:
     """Cross-validation record, under the cvr report's key names: the
     held-out MSE per eta (mean and sd over repeats) and the chosen eta; per
-    repeat the winning eta, its MSE and C-index; the fits that reached
-    CVR_MAX_ITER sweeps without meeting CVR_TOL; and the mean and sd over
-    repeats of the winners' MSE and C-index."""
+    repeat the winning eta, its MSE and C-index (NaN when its held-out
+    responses all tie); the fits that reached CVR_MAX_ITER sweeps without
+    meeting CVR_TOL; and the mean and sd over repeats of the winners' MSE
+    and of the C-indices that are not NaN."""
 
     eta_grid: tuple
     mse_by_eta: tuple
@@ -97,17 +98,12 @@ def _check_inputs(X1, X2, y, d: int, etas):
 
 
 def _statistics(X1, X2, y, d: int):
-    """Center and QR-factor both views, and check the R factors as cca does
-    (_check_r_factors). Returns (m1, m2, R1, R2, stats), where stats is what the
-    descent needs: (M, Q1^T y, Q2^T y, sum(y), y^T y, Z1, Z2), with Z1 and Z2
-    the classical CCA start, the leading d canonical singular vectors of M
-    (orthonormal variates: unit Euclidean columns, not unit variance)."""
-    m1, m2 = X1.mean(axis=0), X2.mean(axis=0)
-    Q1, R1 = np.linalg.qr(X1 - m1)
-    Q2, R2 = np.linalg.qr(X2 - m2)
-    _check_r_factors(R1, R2)
-    M = Q1.T @ Q2
-    U, _, V = _canonical_svd(M)
+    """Center, QR-factor and check both views as cca does (_canonical_frame).
+    Returns (m1, m2, R1, R2, stats), where stats is what the descent needs:
+    (M, Q1^T y, Q2^T y, sum(y), y^T y, Z1, Z2), with Z1 and Z2 the classical
+    CCA start, the leading d canonical singular vectors of M (orthonormal
+    variates: unit Euclidean columns, not unit variance)."""
+    m1, m2, Q1, Q2, R1, R2, M, U, _, V = _canonical_frame(X1, X2)
     return m1, m2, R1, R2, (M, Q1.T @ y, Q2.T @ y, y.sum(), y @ y, U[:, :d], V[:, :d])
 
 
@@ -252,7 +248,11 @@ def cvr_cross_validate(
     from rng_seed and the repeat index), fits every eta on the training part,
     and scores held-out MSE; the per-repeat winner is the minimum-MSE eta with
     ties broken toward larger eta. The concordance index is computed on the
-    held-out negated predictions (shorter survival = higher risk).
+    held-out negated predictions (shorter survival = higher risk). A repeat
+    whose held-out responses all tie has no comparable pair: its C-index is
+    NaN and left out of cindex_mean and cindex_sd, while its MSE and eta
+    count. Only when no repeat has a comparable pair is the input rejected,
+    before any descent.
 
     Every check cvr_fit makes runs before any descent: the row, eta, y and d
     checks once, then split by split, in split order, the rank and
@@ -292,6 +292,13 @@ def cvr_cross_validate(
         T1 = np.linalg.solve(R1.T, (X1[te] - m1).T).T
         T2 = np.linalg.solve(R2.T, (X2[te] - m2).T).T
         held_out.append((te, T1, T2))
+    # held-out responses that all tie form no comparable pair, so that
+    # repeat has no C-index
+    scored = np.array([np.ptp(y[te]) > 0 for te, _, _ in held_out])
+    if not scored.any():
+        raise ValidationError(
+            "no comparable pairs: the held-out survival times tie in every split"
+        )
 
     # problem rep * E + j is split rep at eta_grid[j]
     E = len(eta_grid)
@@ -304,7 +311,7 @@ def cvr_cross_validate(
     mse_matrix = np.empty((repeats, E))
     rep_eta = np.empty(repeats)
     rep_mse = np.empty(repeats)
-    rep_cindex = np.empty(repeats)
+    rep_cindex = np.full(repeats, np.nan)
     for rep, (te, T1, T2) in enumerate(held_out):
         rows = slice(rep * E, (rep + 1) * E)
         pred = alpha[rows, None] + 0.5 * (T1 @ u1[rows] + T2 @ u2[rows])[..., 0]
@@ -313,7 +320,8 @@ def cvr_cross_validate(
         best = min(range(E), key=lambda j: (mse[j], -eta_grid[j]))
         rep_eta[rep] = eta_grid[best]
         rep_mse[rep] = mse[best]
-        rep_cindex[rep] = concordance_index(-pred[best], y[te])
+        if scored[rep]:
+            rep_cindex[rep] = concordance_index(-pred[best], y[te])
 
     mse_by_eta = mse_matrix.mean(axis=0)
     floor = mse_by_eta.min()
@@ -329,8 +337,8 @@ def cvr_cross_validate(
         unconverged_fits=int(np.count_nonzero(~converged)),
         mse_mean=float(rep_mse.mean()),
         mse_sd=float(rep_mse.std(ddof=ddof)),
-        cindex_mean=float(rep_cindex.mean()),
-        cindex_sd=float(rep_cindex.std(ddof=ddof)),
+        cindex_mean=float(rep_cindex[scored].mean()),
+        cindex_sd=float(rep_cindex[scored].std(ddof=min(scored.sum() - 1, 1))),
     )
 
 

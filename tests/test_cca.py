@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfcca import ValidationError, cca, cca_oracle
+from tfcca import NumericalError, ValidationError, cca, cca_oracle
 
 
 def random_matrix(rng, n, r, scale=1.0):
@@ -140,6 +140,46 @@ class TestCca:
         r2 = cca(C1, C2)
         assert np.array_equal(r1.weights_1, r2.weights_1)
         assert np.array_equal(r1.correlations, r2.correlations)
+
+
+class TestRidge:
+    """A ridge enters as sqrt(ridge) * I rows below each centered view X_k,
+    so the correlations are the singular values of
+    (C11 + ridge I)^(-1/2) C12 (C22 + ridge I)^(-1/2), with C_kl = X_k^T X_l."""
+
+    @staticmethod
+    def whitened_singular_values(C1, C2, ridge):
+        X1, X2 = C1 - C1.mean(axis=0), C2 - C2.mean(axis=0)
+
+        def inv_sqrt(S):
+            w, E = np.linalg.eigh(S + ridge * np.eye(len(S)))
+            return (E / np.sqrt(w)) @ E.T
+
+        K = inv_sqrt(X1.T @ X1) @ (X1.T @ X2) @ inv_sqrt(X2.T @ X2)
+        return np.linalg.svd(K, compute_uv=False)[:min(C1.shape[1], C2.shape[1])]
+
+    @pytest.mark.parametrize("ridge", [1e-3, 1.0])
+    @pytest.mark.parametrize("n,r1,r2", [(40, 3, 4), (30, 5, 2), (5, 8, 8)])
+    def test_correlations_match_whitened_cross_product(self, n, r1, r2, ridge):
+        # n = 5 < r = 8 is feasible only with a ridge
+        rng = np.random.default_rng([n, r1, r2])
+        C1 = random_matrix(rng, n, r1)
+        C2 = C1[:, :1] + random_matrix(rng, n, r2)
+        res = cca(C1, C2, ridge=ridge)
+        np.testing.assert_allclose(res.correlations,
+                                   self.whitened_singular_values(C1, C2, ridge),
+                                   rtol=0, atol=1e-10)
+
+    def test_ridge_too_small_to_lift_a_view_raises_a_library_error(self):
+        # a duplicated column at ridge 1e-20: the R factor's smallest
+        # diagonal entry is about 1e-10, which the checks reject
+        rng = np.random.default_rng(5)
+        C1 = random_matrix(rng, 20, 3)
+        C1 = np.column_stack([C1, C1[:, 0]])
+        C2 = random_matrix(rng, 20, 2)
+        with pytest.raises((NumericalError, ValidationError),
+                           match=r"^C1 is (rank-deficient|ill-conditioned) at ridge 1e-20"):
+            cca(C1, C2, ridge=1e-20)
 
 
 class TestOracleAgreement:

@@ -312,6 +312,39 @@ class TestCvrCommand:
             "grid": 300, "curve_grid": 64,
         }
 
+    def test_tied_held_out_split_is_null(self, tmp_path):
+        # 10 subjects whose responses 10 + (3 i mod 7) tie in pairs: a split
+        # that holds out a tied pair (2 of 10 rows) has no C-index, and the
+        # report says null there, not NaN
+        sim = tmp_path / "sim"
+        assert run_cli([
+            "simulate", "pdf", "--groups", "1,2", "--n", "10", "--seed", "5",
+            "--grid", "300", "--out-dir", str(sim),
+        ]) == 0
+        resp = tmp_path / "resp.csv"
+        resp.write_text("id,months\n" + "".join(
+            f"s{i:04d},{10 + 3 * i % 7}\n" for i in range(10)))
+        out = tmp_path / "cvr.json"
+        assert run_cli([
+            "cvr", "--input-a", str(sim / "group_a.csv"),
+            "--input-b", str(sim / "group_b.csv"), "--response", str(resp),
+            "--d", "1", "--rank", "2", "--grid", "300", "--repeats", "20",
+            "--out", str(out),
+        ]) == 0
+
+        def reject(token):
+            raise AssertionError(f"{token} in the report")
+
+        rep = json.loads(out.read_text(), parse_constant=reject)
+        cindex = rep["cross_validation"]["repeat_cindex"]
+        scored = [c for c in cindex if c is not None]
+        assert len(cindex) == 20 and 0 < len(scored) < 20
+        assert rep["aggregates"]["cindex_mean"] == pytest.approx(np.mean(scored), rel=1e-12)
+        assert rep["aggregates"]["cindex_sd"] == pytest.approx(np.std(scored, ddof=1),
+                                                               rel=1e-12)
+        assert None not in rep["cross_validation"]["repeat_mse"]
+        assert len(rep["cross_validation"]["repeat_eta"]) == 20
+
     @staticmethod
     def _cvr_argv(data, tmp_path):
         resp = tmp_path / "resp.csv"

@@ -314,6 +314,33 @@ class TestCrossValidate:
             cvr_cross_validate(C1, C2, rng.standard_normal(60), 2, (0.0, 1.0),
                                repeats=2, rng_seed=0)
 
+    def test_tied_held_out_split_has_no_cindex(self):
+        # responses 10 + (3 i mod 7) tie in pairs; a split that holds out a
+        # tied pair (2 of 10 rows) has no comparable pair, so no C-index,
+        # while its MSE and eta still count
+        rng = np.random.default_rng(17)
+        C1, C2 = correlated_views(rng, n=10, r=2, shared=1)
+        y = 10.0 + (3 * np.arange(10)) % 7
+        cv = cvr_cross_validate(C1, C2, y, 1, (0.0, 1.0), repeats=20, rng_seed=0)
+        tied = np.array([
+            np.ptp(y[np.random.default_rng([0, rep]).permutation(10)[8:]]) == 0
+            for rep in range(20)
+        ])
+        assert tied.any() and not tied.all()
+        assert np.array_equal(np.isnan(cv.repeat_cindex), tied)
+        scored = cv.repeat_cindex[~tied]
+        assert cv.cindex_mean == scored.mean()
+        assert cv.cindex_sd == scored.std(ddof=1)
+        assert np.all(np.isfinite(cv.repeat_mse)) and np.all(np.isfinite(cv.repeat_eta))
+        assert cv.mse_mean == cv.repeat_mse.mean()
+
+    def test_every_held_out_split_tied_rejected(self):
+        rng = np.random.default_rng(17)
+        C1, C2 = correlated_views(rng, n=10, r=2, shared=1)
+        with pytest.raises(ValidationError, match="no comparable pairs"):
+            cvr_cross_validate(C1, C2, np.full(10, 12.0), 1, (0.0, 1.0),
+                               repeats=5, rng_seed=0)
+
     def test_prediction_shape(self):
         rng = np.random.default_rng(11)
         C1, C2 = correlated_views(rng, n=40, r=3, shared=1)
