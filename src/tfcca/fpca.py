@@ -17,9 +17,10 @@ import numpy as np
 from .cca import _dominant_signs
 from .density import Pdf, pdf_tangent_coordinates
 from .errors import RankError, ValidationError
-from .numerics import _freeze, norm, trapezoid_weights
+from .numerics import _freeze, trapezoid_weights
 from .shape import Curve, shape_tangent_coordinates
-from .sphere import SpherePoint, TangentVector, Tangents, _transport_rows, tangent_at
+from .sphere import SpherePoint, TangentVector, Tangents, tangent_at
+from .sphere import _check_attached, _transport_rows
 
 PDF_EXPLAINED_DEFAULT = 0.95
 SHAPE_EXPLAINED_DEFAULT = 0.80
@@ -132,8 +133,7 @@ def coefficients(basis: FpcBasis, tangents: Tangents) -> np.ndarray:
     """Project tangent vectors on the basis: c_ij = <delta_i, e_j>, as a
     read-only (n, r) array."""
     base = basis.base
-    if tangents.base is not base and norm(tangents.base.f - base.f) > 1e-8:
-        raise ValidationError("tangent vectors are attached to a different base point")
+    _check_attached(base, tangents.base)
     X, w = _samples(base.f, tangents.values)
     E, _ = _samples(base.f, np.stack([e.v.values for e in basis.eigenfunctions]))
     return _freeze((X * w) @ E.T)

@@ -23,9 +23,10 @@ DEFAULT_CURVE_GRID = 200
 _WEIGHTS = {}  # trapezoid weights by grid size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [0,1] with n_points samples, spacing 1/(n_points-1)."""
+    """Uniform grid on [0,1] with n_points samples, spacing 1/(n_points-1);
+    grids of one size are equal."""
 
     n_points: int
 
@@ -42,12 +43,6 @@ class Grid:
     @property
     def points(self) -> np.ndarray:
         return self._points
-
-    def __eq__(self, other):
-        return isinstance(other, Grid) and self.n_points == other.n_points
-
-    def __hash__(self):
-        return hash(self.n_points)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

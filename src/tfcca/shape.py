@@ -41,12 +41,10 @@ from .numerics import (
     _integrate_rows,
     _interp_rows,
     derivative,
-    inner_product,
-    norm,
 )
 from .sphere import KarcherMeanResult, SpherePoint, TangentVector, Tangents, exp_map
-from .sphere import _angle_rows, _geodesic_points, _log_rows, _remove_component
-from .sphere import _unit_factors, geodesic_distance, tangent_at
+from .sphere import _angle_rows, _geodesic_points, _ip_rows, _log_rows
+from .sphere import _remove_component, _unit_factors, geodesic_distance, tangent_at
 
 # pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
@@ -113,7 +111,7 @@ class Srvf:
         f = self.q.f
         if not f.is_planar or not f.periodic:
             raise ValidationError("an Srvf must be plane-valued and periodic")
-        res = closure_residual(f.values, f.grid)
+        res = closure_residual(f.values)
         if np.abs(res).max() > CLOSURE_TOL:
             raise ValidationError(
                 f"closure residual {np.abs(res).max():.3g} exceeds {CLOSURE_TOL:.3g}"
@@ -125,7 +123,7 @@ class Srvf:
 
     @property
     def residual(self) -> np.ndarray:
-        return closure_residual(self.q.f.values, self.q.f.grid)
+        return closure_residual(self.q.f.values)
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ class Registration:
 # ---------------------------------------------------------------------------
 # closure condition
 
-def closure_residual(values: np.ndarray, grid: Grid) -> np.ndarray:
+def closure_residual(values: np.ndarray) -> np.ndarray:
     """Componentwise integral q_j(t) |q(t)| dt of (..., n, 2) samples."""
     speed = np.linalg.norm(values, axis=-1)
     return _integrate_rows(np.swapaxes(values * speed[..., None], -1, -2))
@@ -163,13 +161,13 @@ def _constraint_gradients(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g1, g2
 
 
-def _preshape_rows(vals, grid: Grid, max_residual: float = 0.5) -> np.ndarray:
+def _preshape_rows(vals, max_residual: float = 0.5) -> np.ndarray:
     """Newton-project the unit-norm rows of a (B, n, 2) stack onto the closure
     set. Rows must start with a residual norm below max_residual; each step
     removes the residual along the two constraint gradients and renormalizes
     the rows still active."""
     vals = vals.copy()
-    res = closure_residual(vals, grid)
+    res = closure_residual(vals)
     res_norm = np.sqrt((res[:, None, :] @ res[:, :, None])[:, 0, 0])
     if np.any(res_norm >= max_residual):
         raise ValidationError(
@@ -191,7 +189,7 @@ def _preshape_rows(vals, grid: Grid, max_residual: float = 0.5) -> np.ndarray:
         v = v + delta[:, 0, None, None] * g[:, 0] + delta[:, 1, None, None] * g[:, 1]
         v /= np.sqrt(_integrate_rows((v * v).sum(axis=-1)))[:, None, None]
         vals[active] = v
-        res[active] = closure_residual(v, grid)
+        res[active] = closure_residual(v)
     raise ConvergenceError(
         f"pre-shape projection stalled at residual {np.abs(res[active]).max():.3g}"
     )
@@ -204,7 +202,7 @@ def _srvfs(vals: np.ndarray, grid: Grid) -> list:
 
 def project_to_preshape(q: SpherePoint) -> Srvf:
     """Newton-project a sphere point onto the closure set: _preshape_rows of one row."""
-    return _srvfs(_preshape_rows(q.f.values[None], q.grid), q.grid)[0]
+    return _srvfs(_preshape_rows(q.f.values[None]), q.grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +717,7 @@ def register_batch(
     pick = costs.argmin(axis=0)
     picked = vals[pick, np.arange(B)]
     nrm = np.sqrt(np.maximum(_integrate_rows((picked * picked).sum(axis=-1)), 0.0))
-    stars = _preshape_rows(picked * _unit_factors(nrm)[:, None, None], grid)
+    stars = _preshape_rows(picked * _unit_factors(nrm)[:, None, None])
     diff = v1 - stars
     final_costs = _integrate_rows((diff * diff).sum(axis=-1))
     regs = [Registration(O_tot[b], DiscreteFunction(grid, warps[pick[b], b]),
@@ -752,28 +750,27 @@ def shape_distance(q1: Srvf, q2: Srvf) -> float:
     return min(_aligned_distance(q1, q2), _aligned_distance(q2, q1))
 
 
-def preshape_normal_basis(mean: Srvf):
-    """Orthonormal basis (phi1, phi2) of the closure-constraint directions
-    inside the sphere tangent space at the mean."""
-    g1, g2 = _constraint_gradients(mean.q.f.values)
-
-    def fn(a):
-        return DiscreteFunction(mean.grid, a, periodic=True)
-
-    base = mean.q.f
-    p1 = fn(g1) - inner_product(fn(g1), base) * base
-    p1 = p1 * (1.0 / norm(p1))
-    p2 = fn(g2) - inner_product(fn(g2), base) * base - inner_product(fn(g2), p1) * p1
-    p2 = p2 * (1.0 / norm(p2))
-    return p1, p2
+def _preshape_normals(p: np.ndarray) -> np.ndarray:
+    """Orthonormal closure-constraint directions inside the sphere tangent
+    space at the (n, 2) samples p, as a (2, n, 2) array: each constraint
+    gradient loses its component along p, and the second then loses its
+    component along the first, taken against the raw gradient (classical
+    Gram-Schmidt)."""
+    g = np.stack(_constraint_gradients(p))
+    phi = _remove_component(g, p)
+    phi[0] *= 1.0 / np.sqrt(max(_ip_rows(phi[:1], phi[0])[0], 0.0))
+    phi[1] -= _ip_rows(g[1:], phi[0])[0] * phi[0]
+    phi[1] *= 1.0 / np.sqrt(max(_ip_rows(phi[1:], phi[1])[0], 0.0))
+    return phi
 
 
-def _preshape_tangents(mean: Srvf, stars: np.ndarray) -> np.ndarray:
-    """Log maps at the mean of registered SRVF samples stacked as (n, M, 2),
-    with the two closure-constraint components removed: an (n, M, 2) array."""
-    V = _log_rows(mean.q.f.values, stars)
-    for phi in preshape_normal_basis(mean):
-        V = _remove_component(V, phi.values)
+def _preshape_tangents(p: np.ndarray, stars: np.ndarray) -> np.ndarray:
+    """Log maps at the (n, 2) mean samples p of registered SRVF samples
+    stacked as (B, n, 2), with the two closure-constraint components removed:
+    a (B, n, 2) array."""
+    V = _log_rows(p, stars)
+    for phi in _preshape_normals(p):
+        V = _remove_component(V, phi)
     return V
 
 
@@ -787,7 +784,7 @@ def project_Pi(qs: list, mean: Srvf) -> Tangents:
     decreasing (see register_batch).
     """
     regs = register_batch(mean, qs, rigid_candidates=2)
-    V = _preshape_tangents(mean, np.stack([star.q.f.values for _, star in regs]))
+    V = _preshape_tangents(mean.q.f.values, np.stack([s.q.f.values for _, s in regs]))
     return Tangents(mean.q, V)
 
 
@@ -843,7 +840,7 @@ def shape_karcher_mean(qs: list) -> KarcherMeanResult:
     converged = False
     iterations = 0
     for iterations in range(1, KARCHER_MAX_ITER + 1):
-        rows = _preshape_tangents(mean, stars)
+        rows = _preshape_tangents(mean.q.f.values, stars)
         direction = tangent_at(mean.q, rows.mean(axis=0))
         gnorm = direction.length
         if gnorm <= KARCHER_TOL:
@@ -892,6 +889,5 @@ def shape_variate_direction(basis, weights, epsilons) -> list:
     # visualization may start far from the constraint set; let the Newton
     # projection run from wherever the exponential map lands
     grid = basis.base.grid
-    closed = _preshape_rows(np.stack([p.f.values for p in points]), grid,
-                            max_residual=np.inf)
+    closed = _preshape_rows(np.stack([p.f.values for p in points]), max_residual=np.inf)
     return [srvf_inverse(q) for q in _srvfs(closed, grid)]

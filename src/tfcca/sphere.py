@@ -20,12 +20,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntipodeError, GeodesicOverflowError, ValidationError
-from .numerics import DiscreteFunction, Grid, inner_product, norm
+from .numerics import DiscreteFunction, Grid, norm
 from .numerics import _check_compatible, _freeze, _integrate_rows
 
 ANTIPODE_MARGIN = 1e-6
 # karcher_mean: the iterations run before it gives up unconverged
 KARCHER_MAX_ITER = 100
+
+
+def _check_orthogonal(V: np.ndarray, p: np.ndarray):
+    """The tangent rule: every row v of V has |<v, p>| <= 1e-6 against the
+    base samples p."""
+    ip = np.abs(_ip_rows(V, p)).max(initial=0)
+    if ip > 1e-6:
+        raise ValidationError(
+            f"tangent vectors not orthogonal to base (|<v,p>| = {ip:.3g})"
+        )
+
+
+def _check_attached(base: SpherePoint, other: SpherePoint):
+    """The base-point rule: tangents attached to other may be used at base
+    when other is base or lies within 1e-8 of it in L2."""
+    if other is not base and norm(other.f - base.f) > 1e-8:
+        raise ValidationError("tangent vectors are attached to a different base point")
 
 
 def _unit_factors(norms):
@@ -59,11 +76,8 @@ class TangentVector:
     v: DiscreteFunction
 
     def __post_init__(self):
-        ip = inner_product(self.v, self.base.f)
-        if abs(ip) > 1e-6:
-            raise ValidationError(
-                f"tangent vector not orthogonal to base (<v,p> = {ip:.3g})"
-            )
+        _check_compatible(self.v, self.base.f)
+        _check_orthogonal(self.v.values[None], self.base.f.values)
 
     @property
     def length(self) -> float:
@@ -73,8 +87,9 @@ class TangentVector:
 @dataclass(frozen=True, eq=False)
 class Tangents:
     """n tangent vectors at one base point, the (n, M) or (n, M, 2) rows of
-    values, checked once for shape, finiteness and TangentVector's rule
-    |<v_i, base>| <= 1e-6; values is stored as a read-only copy."""
+    values, checked once for shape, finiteness and the tangent rule that
+    TangentVector applies too (_check_orthogonal); values is stored as a
+    read-only copy."""
 
     base: SpherePoint
     values: np.ndarray
@@ -88,11 +103,7 @@ class Tangents:
             )
         if not np.all(np.isfinite(V)):
             raise ValidationError("tangent vectors contain non-finite entries")
-        ip = np.abs(_ip_rows(V, f.values)).max(initial=0)
-        if ip > 1e-6:
-            raise ValidationError(
-                f"tangent vectors not orthogonal to base (|<v,p>| = {ip:.3g})"
-            )
+        _check_orthogonal(V, f.values)
         object.__setattr__(self, "values", V)
 
     def __len__(self):
@@ -117,8 +128,7 @@ def geodesic_distance(p1: SpherePoint, p2: SpherePoint) -> float:
 
 def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
     """Follow the geodesic from base with initial velocity v for unit time."""
-    if v.base is not base and norm(v.base.f - base.f) > 1e-8:
-        raise ValidationError("tangent vector is attached to a different base point")
+    _check_attached(base, v.base)
     L = v.length
     if L == 0.0:
         return base

@@ -344,7 +344,7 @@ def test_criterion_7_cli_determinism(tmp_path):
     resp.write_text(
         "id,v\n" + "\n".join(f"{s},{x:.8f}" for s, x in zip(ids, rng.uniform(1, 9, 200))) + "\n"
     )
-    for tag, threads in (("a", "1"), ("b", "4")):
+    for tag, threads in (("default", None), ("a", "1"), ("b", "4")):
         out = tmp_path / f"cvr_{tag}.json"
         run(["cvr", "--input-a", str(sim / "group_a.csv"),
              "--input-b", str(sim / "group_b.csv"),
@@ -359,6 +359,8 @@ def test_criterion_7_cli_determinism(tmp_path):
         ("pdf-cca: default vs pinned threads bitwise equal",
          blobs["run1"] == blobs["t1"]),
         ("cvr: thread settings bitwise equal", cvr_blobs["a"] == cvr_blobs["b"]),
+        ("cvr: default vs pinned threads bitwise equal",
+         cvr_blobs["default"] == cvr_blobs["a"]),
     ]
     elapsed = time.time() - start
     report(7, "CLI determinism", elapsed, checks)

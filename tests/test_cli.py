@@ -1,8 +1,6 @@
 import csv
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
 import types
 import warnings
@@ -476,67 +474,6 @@ class TestDeterminism:
             ]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
-
-    def test_across_thread_settings_subprocess(self, tmp_path):
-        # BLAS thread counts exported by the caller: unset, 1 and 4. At 40
-        # subjects on a 400-point grid a multi-threaded BLAS changes the
-        # report's bytes, so the check fails if the pin gives way.
-        sim = tmp_path / "sim"
-        assert run_cli([
-            "simulate", "pdf", "--groups", "1,2", "--n", "40", "--seed", "7",
-            "--grid", "400", "--out-dir", str(sim),
-        ]) == 0
-        blobs = []
-        for threads in (None, "1", "4"):
-            out = tmp_path / f"rep_t{threads}.json"
-            env = dict(os.environ)
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-                env.pop(var, None)
-                if threads is not None:
-                    env[var] = threads
-            proc = subprocess.run(
-                [sys.executable, "-m", "tfcca", "pdf-cca",
-                 "--input-a", str(sim / "group_a.csv"),
-                 "--input-b", str(sim / "group_b.csv"),
-                 "--rank", "2", "--grid", "400", "--out", str(out)],
-                env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
-
-    def test_cvr_across_thread_settings_subprocess(self, tmp_path):
-        # the stacked cross-validation descent (batched svd, solve and
-        # matmul) gives the same report bytes whatever BLAS threads the
-        # caller exports: unset, 1 and 4
-        sim = tmp_path / "sim"
-        assert run_cli([
-            "simulate", "pdf", "--groups", "1,2", "--n", "40", "--seed", "7",
-            "--grid", "400", "--out-dir", str(sim),
-        ]) == 0
-        resp = tmp_path / "resp.csv"
-        rng = np.random.default_rng(2)
-        resp.write_text("id,months\n" + "".join(
-            f"s{i:04d},{v!r}\n" for i, v in enumerate(rng.uniform(5, 60, 40).tolist())))
-        blobs = []
-        for threads in (None, "1", "4"):
-            out = tmp_path / f"cvr_t{threads}.json"
-            env = dict(os.environ)
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-                env.pop(var, None)
-                if threads is not None:
-                    env[var] = threads
-            proc = subprocess.run(
-                [sys.executable, "-m", "tfcca", "cvr",
-                 "--input-a", str(sim / "group_a.csv"),
-                 "--input-b", str(sim / "group_b.csv"),
-                 "--response", str(resp), "--log-response", "--d", "2",
-                 "--rank", "3", "--grid", "400", "--out", str(out)],
-                env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
 
 
 GOOD_RESPONSE = ["id,months"] + [f"s{i:04d},{10 + i}" for i in range(14)]

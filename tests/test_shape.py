@@ -25,7 +25,7 @@ from tfcca import (
     srvf_inverse,
 )
 from tfcca.fpca import fit_fpca, tangent_mode_pipeline
-from tfcca.numerics import _integrate_rows
+from tfcca.numerics import _integrate_rows, norm
 import tfcca.shape as shape_module
 from tfcca.shape import (
     _BIG,
@@ -38,9 +38,11 @@ from tfcca.shape import (
     _aligned_distance,
     _apply_rigid,
     _band_cost_tables,
+    _constraint_gradients,
     _SMOOTH_WIDTHS,
     _dp_align_batch,
     _local_maxima_offsets,
+    _preshape_normals,
     _preshape_rows,
     _rigid_scores,
     _smoothed_warp,
@@ -168,7 +170,7 @@ class TestPreshapeProjection:
         noise = 1e-3 * rng.standard_normal(q.q.f.values.shape)
         noise[-1] = noise[0]
         point = SpherePoint(DiscreteFunction(G, q.q.f.values + noise, periodic=True))
-        start = np.abs(closure_residual(point.f.values, G)).max()
+        start = np.abs(closure_residual(point.f.values)).max()
         out = project_to_preshape(point)
         assert np.abs(out.residual).max() <= min(1e-4, start)
 
@@ -199,7 +201,7 @@ class TestPreshapeProjection:
             for cap in range(1, 10):
                 monkeypatch.setattr(shape_module, "PRESHAPE_MAX_ITER", cap)
                 try:
-                    _preshape_rows(row[None], G)
+                    _preshape_rows(row[None])
                     return cap - 1
                 except ConvergenceError:
                     pass
@@ -207,9 +209,9 @@ class TestPreshapeProjection:
         steps = [newton_steps(row) for row in rows]
         monkeypatch.undo()
         assert steps[0] == 0 and steps[1] == 1 and steps[2] > 1
-        stacked = _preshape_rows(np.stack(rows), G)
+        stacked = _preshape_rows(np.stack(rows))
         for row, got in zip(rows, stacked):
-            assert got.tobytes() == _preshape_rows(row[None], G)[0].tobytes()
+            assert got.tobytes() == _preshape_rows(row[None])[0].tobytes()
             one = project_to_preshape(SpherePoint(DiscreteFunction(G, row, periodic=True)))
             np.testing.assert_array_equal(Srvf(SpherePoint(DiscreteFunction(
                 G, got, periodic=True))).q.f.values, one.q.f.values)
@@ -221,7 +223,7 @@ class TestPreshapeProjection:
         with pytest.raises(ValidationError, match="basin"):
             project_to_preshape(outside)
         with pytest.raises(ValidationError, match="basin"):
-            _preshape_rows(np.stack([q, outside.f.values, q]), G)
+            _preshape_rows(np.stack([q, outside.f.values, q]))
 
 
 def optimal_rotation(q1: Srvf, q2: Srvf) -> np.ndarray:
@@ -783,6 +785,22 @@ class TestSubjectOrder:
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
 
 
+def preshape_normal_basis(mean: Srvf):
+    """The closure normals at the mean as DiscreteFunction arithmetic, the
+    reference for _preshape_normals."""
+    g1, g2 = _constraint_gradients(mean.q.f.values)
+
+    def fn(a):
+        return DiscreteFunction(mean.grid, a, periodic=True)
+
+    base = mean.q.f
+    p1 = fn(g1) - inner_product(fn(g1), base) * base
+    p1 = p1 * (1.0 / norm(p1))
+    p2 = fn(g2) - inner_product(fn(g2), base) * base - inner_product(fn(g2), p1) * p1
+    p2 = p2 * (1.0 / norm(p2))
+    return p1, p2
+
+
 def project_one(q, mean):
     """Row 0 of project_Pi's block for one SRVF, as a TangentVector."""
     return TangentVector(mean.q, mean.q.f.with_values(project_Pi([q], mean).values[0]))
@@ -795,15 +813,25 @@ class TestProjectPi:
         assert v.length < 1e-6
 
     def test_orthogonal_to_mean_and_constraints(self):
-        from tfcca.shape import preshape_normal_basis
-
         mean = srvf(bumpy_curve([np.pi / 2, 4.0]))
         q = srvf(bumpy_curve([np.pi / 2, 4.15], kappa=25.0))
         v = project_one(q, mean)
-        phi1, phi2 = preshape_normal_basis(mean)
+        phi1, phi2 = map(mean.q.f.with_values, _preshape_normals(mean.q.f.values))
         assert abs(inner_product(v.v, mean.q.f)) < 1e-6
         assert abs(inner_product(v.v, phi1)) < 1e-6
         assert abs(inner_product(v.v, phi2)) < 1e-6
+
+    @pytest.mark.parametrize("n_points", [25, 100, 200])
+    @pytest.mark.parametrize("regime", ["high", "weak"])
+    def test_normals_match_the_function_reference(self, regime, n_points):
+        # the row form takes the reference's products in its order, so each
+        # normal gets its bits
+        spec = CurveSimSpec(regime, 6, Grid(n_points), rng_seed=n_points)
+        for group in (1, 2):
+            for q in (srvf(c) for c in gen_curve_group(spec, group)[0]):
+                got = _preshape_normals(q.q.f.values)
+                for phi, ref in zip(got, preshape_normal_basis(q)):
+                    assert phi.tobytes() == ref.values.tobytes()
 
     def test_reconstruction_close_in_shape_distance(self):
         from tfcca.sphere import TangentVector, exp_map

@@ -19,6 +19,7 @@ from tfcca import (
     norm,
     parallel_transport,
 )
+from tfcca.fpca import coefficients, fit_fpca
 from tfcca.sphere import (
     ANTIPODE_MARGIN,
     KARCHER_MAX_ITER,
@@ -326,10 +327,12 @@ class TestTangents:
         bad[2, 7] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             Tangents(base, bad)
-        # the rule TangentVector applies to one vector: |<v, base>| <= 1e-6
-        Tangents(base, V + 5e-7 * base.f.values)
-        with pytest.raises(ValidationError, match="not orthogonal"):
-            Tangents(base, V + 2e-6 * base.f.values)
+        # one rule for a block and for one vector: |<v, base>| <= 1e-6
+        for make in (lambda X: Tangents(base, X),
+                     lambda X: TangentVector(base, base.f.with_values(X[0]))):
+            make(V + 5e-7 * base.f.values)
+            with pytest.raises(ValidationError, match="not orthogonal"):
+                make(V + 2e-6 * base.f.values)
 
     @pytest.mark.parametrize("n_points,n_rows", [(100, 8), (200, 400), (1000, 64)])
     @pytest.mark.parametrize("planar", [False, True])
@@ -354,6 +357,27 @@ class TestTangents:
             one = parallel_transport(TangentVector(base, base.f.with_values(row)),
                                      base, points[0])
             assert np.array_equal(move, one.v.values)
+
+
+class TestBasePoint:
+    def test_exp_map_and_coefficients_share_the_rule(self):
+        # tangents attached to the base itself or to a point within 1e-8 of
+        # it in L2 are accepted; a base moved by 2e-8 is rejected
+        rng = np.random.default_rng(31)
+        base = random_point(rng)
+        V = np.stack([random_tangent(rng, base).v.values for _ in range(4)])
+        basis = fit_fpca(Tangents(base, V), rank=2)
+        step = random_tangent(rng, base)
+        copy = SpherePoint(base.f.with_values(base.f.values.copy()))
+        moved = SpherePoint(base.f + step.v * (2e-8 / step.length))
+        assert norm(moved.f - base.f) == pytest.approx(2e-8, rel=1e-6)
+        for other in (base, copy):
+            exp_map(base, TangentVector(other, base.f.with_values(V[0])))
+            coefficients(basis, Tangents(other, V))
+        with pytest.raises(ValidationError, match="different base point"):
+            exp_map(base, TangentVector(moved, base.f.with_values(V[0])))
+        with pytest.raises(ValidationError, match="different base point"):
+            coefficients(basis, Tangents(moved, V))
 
 
 class TestRoundTripNearBase:
