@@ -6,7 +6,8 @@ tables), cvr (canonical variate regression with eta cross-validation), and
 simulate (materialize simulation datasets plus a ground-truth sidecar).
 
 Exit codes: 0 success, 2 input validation failure (including files that
-cannot be read or written), 3 numerical failure.
+cannot be read or written, and arrays too large to allocate), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -590,7 +591,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
+        # unreadable inputs and unwritable outputs are input problems too
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
@@ -599,9 +601,9 @@ def main(argv=None) -> int:
     except TfccaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        # unreadable inputs and unwritable outputs are input problems too
-        print(f"error: validation: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # an array too large to allocate, e.g. from a huge --grid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

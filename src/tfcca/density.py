@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateSampleError, DensityNormalizationWarning, ValidationError
 from .numerics import DEFAULT_PDF_GRID, DiscreteFunction, Grid, _integrate_rows
 from .sphere import SpherePoint, Tangents, karcher_mean
-from .sphere import _geodesic_points, _log_rows, _unit_factors
+from .sphere import _geodesic_rows, _log_rows, _sphere_rows
 
 # Integral drift up to this is renormalized with a warning; beyond is an error.
 MAX_INTEGRAL_DRIFT = 1e-3
@@ -125,9 +125,12 @@ def estimate_pdf(
         raise ValidationError("bins must be positive")
     if floor < 0:
         raise ValidationError("floor must be nonnegative")
-    lo, hi = value_range if value_range is not None else (x.min(), x.max())
+    # Python floats: an overflowing hi - lo is inf without a RuntimeWarning
+    lo, hi = map(float, value_range if value_range is not None else (x.min(), x.max()))
     if hi <= lo:
         raise DegenerateSampleError("degenerate sample: all values identical")
+    if not np.isfinite(hi - lo):
+        raise ValidationError(f"sample range [{lo:.6g}, {hi:.6g}] is too wide to rescale")
     u = (x - lo) / (hi - lo)
     counts, _ = np.histogram(u, bins=bins, range=(0.0, 1.0))
     heights = counts / (x.size / bins) + floor  # density units on [0,1]
@@ -146,8 +149,7 @@ def pdf_tangent_coordinates(pdfs: list) -> tuple[Srt, Tangents]:
     """
     if len(pdfs) < 2:
         raise ValidationError("need >= 2 densities")
-    X = np.sqrt(np.stack([f.f.values for f in pdfs]))
-    X *= _unit_factors(np.sqrt(_integrate_rows(X * X)))[:, None]
+    X = _sphere_rows(np.sqrt(np.stack([f.f.values for f in pdfs])))
     mean = Srt(karcher_mean(X, pdfs[0].grid).mean)
     return mean, Tangents(mean.p, _log_rows(mean.p.f.values, X))
 
@@ -160,4 +162,5 @@ def pdf_variate_direction(basis, weights, epsilons) -> list:
     exp(eps * v) is squared back into a density. A step with |eps| |v| >= pi
     raises GeodesicOverflowError.
     """
-    return [srt_inverse(p) for p in _geodesic_points(basis.direction(weights), epsilons)]
+    rows = _geodesic_rows(basis.direction(weights), epsilons)
+    return [Pdf.from_unnormalized(x ** 2, basis.base.grid) for x in rows]

@@ -19,8 +19,8 @@ from .density import Pdf, pdf_tangent_coordinates
 from .errors import RankError, ValidationError
 from .numerics import _freeze, trapezoid_weights
 from .shape import Curve, shape_tangent_coordinates
-from .sphere import SpherePoint, TangentVector, Tangents, tangent_at
-from .sphere import _check_attached, _transport_rows
+from .sphere import SpherePoint, TangentVector, Tangents
+from .sphere import _check_attached, _remove_component, _transport_rows
 
 PDF_EXPLAINED_DEFAULT = 0.95
 SHAPE_EXPLAINED_DEFAULT = 0.80
@@ -28,10 +28,11 @@ SHAPE_EXPLAINED_DEFAULT = 0.80
 
 @dataclass(frozen=True)
 class FpcBasis:
-    """Orthonormal eigenfunctions at a Karcher mean, variance-ordered."""
+    """Orthonormal eigenfunctions at a Karcher mean, variance-ordered, one
+    Tangents row each."""
 
     base: SpherePoint
-    eigenfunctions: tuple
+    eigenfunctions: Tangents
     eigenvalues: np.ndarray
     rank: int
     explained_fraction: float
@@ -42,7 +43,7 @@ class FpcBasis:
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.rank,):
             raise ValidationError(f"weights shape {w.shape} != ({self.rank},)")
-        vals = sum(wi * e.v.values for wi, e in zip(w, self.eigenfunctions))
+        vals = sum(wi * e for wi, e in zip(w, self.eigenfunctions.values))
         return TangentVector(self.base, self.base.f.with_values(vals))
 
 
@@ -121,7 +122,7 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
     lams.flags.writeable = False
     return FpcBasis(
         base=base,
-        eigenfunctions=tuple(tangent_at(base, e) for e in E),
+        eigenfunctions=Tangents(base, _remove_component(E, base.f.values)),
         eigenvalues=lams,
         rank=rank,
         explained_fraction=float(mu[:rank].sum() / total),
@@ -135,24 +136,20 @@ def coefficients(basis: FpcBasis, tangents: Tangents) -> np.ndarray:
     base = basis.base
     _check_attached(base, tangents.base)
     X, w = _samples(base.f, tangents.values)
-    E, _ = _samples(base.f, np.stack([e.v.values for e in basis.eigenfunctions]))
+    E, _ = _samples(base.f, basis.eigenfunctions.values)
     return _freeze((X * w) @ E.T)
 
 
 @dataclass(frozen=True)
 class TangentModeResult:
-    """Everything the CCA/CVR stage and visualization need from one layout.
-
-    Variate directions start at each basis's base point; in the pooled and
-    transport layouts mean_1, group A's own mean, is no basis's base."""
+    """Everything the CCA/CVR stage and visualization need from one layout;
+    variate directions start at each basis's base point."""
 
     mode: str
     c1: np.ndarray
     c2: np.ndarray
     basis_1: FpcBasis
     basis_2: FpcBasis
-    mean_1: object
-    mean_2: object
     tangents_1: Tangents
     tangents_2: Tangents
 
@@ -165,10 +162,9 @@ def _kind_of(obj) -> str:
     raise ValidationError(f"expected Pdf or Curve, got {type(obj).__name__}")
 
 
-def _group_mean_tangents(group, kind):
-    if kind == "pdf":
-        return pdf_tangent_coordinates(group)
-    return shape_tangent_coordinates(group)
+def _group_tangents(group, kind) -> Tangents:
+    coordinates = pdf_tangent_coordinates if kind == "pdf" else shape_tangent_coordinates
+    return coordinates(group)[1]
 
 
 def tangent_mode_pipeline(
@@ -213,13 +209,12 @@ def tangent_mode_pipeline(
         return fit_fpca(tangents, rank=rank, explained=explained)
 
     if mode == "pooled":
-        mean_1, pooled = _group_mean_tangents(list(group_a) + list(group_b), kind_a)
-        mean_2 = mean_1
+        pooled = _group_tangents(list(group_a) + list(group_b), kind_a)
         halves = np.split(pooled.values, [len(group_a)])
         tan_1, tan_2 = (Tangents(pooled.base, V) for V in halves)
     else:
-        mean_1, tan_1 = _group_mean_tangents(group_a, kind_a)
-        mean_2, tan_2 = _group_mean_tangents(group_b, kind_b)
+        tan_1 = _group_tangents(group_a, kind_a)
+        tan_2 = _group_tangents(group_b, kind_b)
     if mode == "transport":
         tan_1 = Tangents(tan_2.base, _transport_rows(tan_1.values, tan_1.base, tan_2.base))
     if mode == "separate":
@@ -229,5 +224,5 @@ def tangent_mode_pipeline(
         basis_1 = basis_2 = _fit(Tangents(tan_2.base, joint), kind_a)
     return TangentModeResult(
         mode, coefficients(basis_1, tan_1), coefficients(basis_2, tan_2),
-        basis_1, basis_2, mean_1, mean_2, tan_1, tan_2,
+        basis_1, basis_2, tan_1, tan_2,
     )

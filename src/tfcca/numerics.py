@@ -7,7 +7,8 @@ endpoint twice, so values[0] == values[-1] by convention. Grid points and
 trapezoid weights are built once per size, read-only. _integrate_rows is the
 one quadrature of sampled rows: every L2 inner product, norm and integral
 goes through it, and each row of a stack gets the bits of its own one-row
-integral. _interp_rows is np.interp, bit for bit, on every row of a stack.
+integral; _ip_rows is the one L2 inner product built on it. _interp_rows is
+np.interp, bit for bit, on every row of a stack.
 """
 
 from __future__ import annotations
@@ -132,17 +133,20 @@ def _integrate_rows(F: np.ndarray) -> np.ndarray:
     return (F[..., None, :] @ trapezoid_weights(F.shape[-1]))[..., 0]
 
 
-def inner_product(a: DiscreteFunction, b: DiscreteFunction) -> float:
-    """L2 inner product over [0,1] by trapezoidal quadrature.
+def _ip_rows(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L2 inner products of the rows of X with y (or its rows); the integrand
+    of planar rows is the pointwise Euclidean inner product of the 2-vectors."""
+    prod = X * y
+    if prod.ndim == 3:
+        prod = prod.sum(axis=2)
+    return _integrate_rows(prod)
 
-    For planar functions the integrand is the pointwise Euclidean inner
-    product of the two 2-vectors.
-    """
+
+def inner_product(a: DiscreteFunction, b: DiscreteFunction) -> float:
+    """L2 inner product over [0,1] by trapezoidal quadrature; a one-row call
+    of _ip_rows."""
     _check_compatible(a, b)
-    prod = a.values * b.values
-    if a.is_planar:
-        prod = prod.sum(axis=1)
-    return float(_integrate_rows(prod))
+    return float(_ip_rows(a.values[None], b.values)[0])
 
 
 def norm(a: DiscreteFunction) -> float:

@@ -40,11 +40,12 @@ from .numerics import (
     Grid,
     _integrate_rows,
     _interp_rows,
+    _ip_rows,
     derivative,
 )
-from .sphere import KarcherMeanResult, SpherePoint, TangentVector, Tangents, exp_map
-from .sphere import _angle_rows, _geodesic_points, _ip_rows, _log_rows
-from .sphere import _remove_component, _unit_factors, geodesic_distance, tangent_at
+from .sphere import KarcherMeanResult, SpherePoint, Tangents
+from .sphere import _angle_rows, _geodesic_rows, _log_rows, _remove_component
+from .sphere import _sphere_rows, geodesic_distance, tangent_at
 
 # pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
@@ -715,9 +716,7 @@ def register_batch(
     costs = _integrate_rows((diff * diff).sum(axis=-1))
     costs[1:][(np.diff(warps[1:], axis=-1) < 0).any(axis=-1)] = np.inf
     pick = costs.argmin(axis=0)
-    picked = vals[pick, np.arange(B)]
-    nrm = np.sqrt(np.maximum(_integrate_rows((picked * picked).sum(axis=-1)), 0.0))
-    stars = _preshape_rows(picked * _unit_factors(nrm)[:, None, None])
+    stars = _preshape_rows(_sphere_rows(vals[pick, np.arange(B)]))
     diff = v1 - stars
     final_costs = _integrate_rows((diff * diff).sum(axis=-1))
     regs = [Registration(O_tot[b], DiscreteFunction(grid, warps[pick[b], b]),
@@ -846,9 +845,8 @@ def shape_karcher_mean(qs: list) -> KarcherMeanResult:
         if gnorm <= KARCHER_TOL:
             converged = True
             break
-        for s in (1.0, 0.5):
-            point = exp_map(mean.q, TangentVector(mean.q, direction.v * s))
-            cand = project_to_preshape(point)
+        for point in _geodesic_rows(direction, (1.0, 0.5)):  # full step, then half
+            cand = _srvfs(_preshape_rows(point[None]), mean.q.grid)[0]
             V_cand, stars_cand = registered_variance(cand)
             if V_cand <= V + 1e-12:
                 break
@@ -883,11 +881,8 @@ def shape_variate_direction(basis, weights, epsilons) -> list:
     points to the pre-shape set at once, and integrates each SRVF. A step
     with |eps| |v| >= pi raises GeodesicOverflowError.
     """
-    points = _geodesic_points(basis.direction(weights), epsilons)
-    if not points:
-        return []
+    rows = _geodesic_rows(basis.direction(weights), epsilons)
     # visualization may start far from the constraint set; let the Newton
     # projection run from wherever the exponential map lands
-    grid = basis.base.grid
-    closed = _preshape_rows(np.stack([p.f.values for p in points]), max_residual=np.inf)
-    return [srvf_inverse(q) for q in _srvfs(closed, grid)]
+    closed = _preshape_rows(rows, max_residual=np.inf)
+    return [srvf_inverse(q) for q in _srvfs(closed, basis.base.grid)]

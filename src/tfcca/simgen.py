@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .fpca import coefficients, tangent_mode_pipeline
 from .numerics import DEFAULT_CURVE_GRID, DEFAULT_PDF_GRID, DiscreteFunction, Grid
 from .shape import Curve
-from .sphere import TangentVector, Tangents, _transport_rows, exp_map
+from .sphere import Tangents, _transport_rows, exp_map
 
 PDF_GROUPS = (1, 2, 3)
 CURVE_REGIMES = ("high", "moderate", "weak")
@@ -301,10 +301,9 @@ def recovery_protocol_shape(
     # group 2's tangent space and read the coefficients there; transport is
     # an isometry, so the estimates change only by numerical error
     b1, source, target = sep.basis_1, sep.tangents_1.base, sep.tangents_2.base
-    E = np.stack([e.v.values for e in b1.eigenfunctions])
+    E = b1.eigenfunctions.values
     rows = _transport_rows(np.concatenate([sep.tangents_1.values, E]), source, target)
-    moved = tuple(TangentVector(target, target.f.with_values(v)) for v in rows[n:])
-    moved_basis = replace(b1, base=target, eigenfunctions=moved)
+    moved_basis = replace(b1, base=target, eigenfunctions=Tangents(target, rows[n:]))
     c1 = coefficients(moved_basis, Tangents(target, rows[:n]))
     rho_tra = cca(c1, sep.c2).correlations
 

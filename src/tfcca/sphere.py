@@ -6,11 +6,11 @@ map is exp_p(v) = cos(|v|) p + sin(|v|) v/|v|, and its inverse is
 log_p(q) = (d / |r|) r. The atan2 form resolves d at both ends, where
 arccos(c) loses every distance below about 1.5e-8. The Karcher mean is
 computed by gradient descent on the variance functional using these maps.
-The log map, tangent projection and transport run on stacked (n, M) or
-(n, M, 2) sample arrays, one row per function, and log_map, tangent_at and
-parallel_transport are one-row calls of them; Tangents holds such a stack.
-Every inner product is numerics._integrate_rows, so each row of a stacked
-map gets exactly the bits of its one-row call.
+The exponential and log maps, tangent projection and transport run on
+stacked (n, M) or (n, M, 2) sample arrays, one row per function, and
+exp_map, log_map, tangent_at and parallel_transport are one-row calls of
+them; Tangents holds such a stack. Every inner product is numerics._ip_rows,
+so each row of a stacked map gets exactly the bits of its one-row call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AntipodeError, GeodesicOverflowError, ValidationError
 from .numerics import DiscreteFunction, Grid, norm
-from .numerics import _check_compatible, _freeze, _integrate_rows
+from .numerics import _check_compatible, _freeze, _ip_rows
 
 ANTIPODE_MARGIN = 1e-6
 # karcher_mean: the iterations run before it gives up unconverged
@@ -50,6 +50,13 @@ def _unit_factors(norms):
     if np.any(norms < 1e-12):
         raise ValidationError("cannot project the zero function to the sphere")
     return np.where(np.abs(norms - 1.0) > 1e-12, 1.0 / norms, 1.0)
+
+
+def _sphere_rows(X: np.ndarray) -> np.ndarray:
+    """Put every row of a fresh (B, M) or (B, M, 2) stack on the sphere, in
+    place, by SpherePoint's rule (_unit_factors of the row norms)."""
+    X *= _per_row(_unit_factors(np.sqrt(np.maximum(_ip_rows(X, X), 0.0))), X)
+    return X
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +116,10 @@ class Tangents:
     def __len__(self):
         return len(self.values)
 
+    def __getitem__(self, i) -> TangentVector:
+        """Row i as a TangentVector at base."""
+        return TangentVector(self.base, self.base.f.with_values(self.values[i]))
+
 
 @dataclass(frozen=True)
 class KarcherMeanResult:
@@ -126,32 +137,36 @@ def geodesic_distance(p1: SpherePoint, p2: SpherePoint) -> float:
     return float(_angle_rows(p1.f.values, p2.f.values[None])[2][0])
 
 
+def _exp_rows(p: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """exp_p(v) = cos(|v|) p + (sin|v| / |v|) v for each row v of V, with p
+    the base samples, put on the sphere by _sphere_rows; a zero row gives p
+    exactly. Each row gets the bits of its one-row call."""
+    L = np.sqrt(np.maximum(_ip_rows(V, V), 0.0))
+    sinc = np.divide(np.sin(L), L, out=np.zeros_like(L), where=L > 0)
+    X = _per_row(np.cos(L), V) * p + _per_row(sinc, V) * V
+    X[L == 0] = p
+    return _sphere_rows(X)
+
+
 def exp_map(base: SpherePoint, v: TangentVector) -> SpherePoint:
-    """Follow the geodesic from base with initial velocity v for unit time."""
+    """Follow the geodesic from base with initial velocity v for unit time;
+    a one-row call of the batched exponential map."""
     _check_attached(base, v.base)
-    L = v.length
-    if L == 0.0:
+    if v.length == 0.0:
         return base
-    vals = np.cos(L) * base.f.values + (np.sin(L) / L) * v.v.values
-    return SpherePoint(DiscreteFunction(base.f.grid, vals, base.f.periodic))
+    f = base.f
+    return SpherePoint(f.with_values(_exp_rows(f.values, v.v.values[None])[0]))
 
 
-def _geodesic_points(v: TangentVector, epsilons) -> list:
-    """exp_p(eps v) for each step size eps, with p the base of v. A step of
-    length |eps| |v| >= pi would reach the antipode of p or run past it, so
-    it raises GeodesicOverflowError."""
-    reach = max((abs(eps) for eps in epsilons), default=0.0) * v.length
+def _geodesic_rows(v: TangentVector, epsilons) -> np.ndarray:
+    """exp_p(eps v) for each step size eps, with p the base of v, one row per
+    step. A step of length |eps| |v| >= pi would reach the antipode of p or
+    run past it, so it raises GeodesicOverflowError."""
+    eps = np.asarray(epsilons, dtype=float)
+    reach = np.abs(eps).max(initial=0.0) * v.length
     if reach >= np.pi:
         raise GeodesicOverflowError(f"geodesic overflow: |eps|*|v| = {reach:.4f} >= pi")
-    return [exp_map(v.base, TangentVector(v.base, v.v * float(eps))) for eps in epsilons]
-
-
-def _ip_rows(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """L2 inner products of the rows of X with y (or its rows)."""
-    prod = X * y
-    if prod.ndim == 3:
-        prod = prod.sum(axis=2)
-    return _integrate_rows(prod)
+    return _exp_rows(v.base.f.values, _per_row(eps, v.v.values[None]) * v.v.values)
 
 
 def _per_row(a: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -482,6 +482,10 @@ PDF_ROWS = ["0,1,1,1", "0.5,1,1,1", "1,1,1,1"]
 NOT_UTF8 = b"\xff\xfe\x00bad\n"
 PDF_ARGV = ["--input-a", "{data}/group_a.csv", "--input-b", "{data}/group_b.csv",
             "--rank", "2", "--grid", "300", "--out", "{tmp}/r.json"]
+# 10**15 float64 samples (7.11 PiB) exceed any 47-bit address space, so the
+# allocation fails at once and touches no memory
+HUGE_GRID = str(10**15)
+OUT_OF_MEMORY = "error: out of memory: Unable to allocate 7.11 PiB"
 
 # (case, lines of a density CSV, text the reason must contain)
 BAD_PDF_TABLES = [
@@ -509,7 +513,8 @@ BAD_PDF_TABLES = [
 
 # (case, files to write as lines or raw bytes, argv, text the reason must
 # contain); "{data}" is the simulated pdf dataset and "{tmp}" the test's
-# scratch directory
+# scratch directory. A reason that starts with "error: " is the start of the
+# line; any other follows "error: validation: ".
 MALFORMED = [
     ("missing input file", {},
      ["pdf-cca", "--input-a", "{tmp}/absent.csv", "--input-b", "{tmp}/absent.csv",
@@ -579,6 +584,21 @@ MALFORMED = [
     ("non-integer simulate groups", {},
      ["simulate", "pdf", "--groups", "1,x", "--out-dir", "{tmp}/sim"],
      "bad --groups '1,x'"),
+    ("sample range too wide to rescale",
+     {"s.jsonl": ['{"id": "a", "samples": [1e308, -1e308, 3]}',
+                  '{"id": "b", "samples": [1, 2, 3]}', '{"id": "c", "samples": [1, 5, 3]}']},
+     ["pdf-cca", "--input-a", "{tmp}/s.jsonl", "--input-b", "{tmp}/s.jsonl",
+      "--rank", "1", "--out", "{tmp}/r.json"],
+     "sample range [-1e+308, 1e+308] is too wide to rescale"),
+    ("pdf grid too large to allocate", {},
+     ["pdf-cca"] + PDF_ARGV[:6] + ["--grid", HUGE_GRID] + PDF_ARGV[8:], OUT_OF_MEMORY),
+    ("curve grid too large to allocate",
+     {"c.jsonl": ['{"id": "a", "points": [[0, 0], [1, 0], [0, 1]]}']},
+     ["shape-cca", "--input-a", "{tmp}/c.jsonl", "--input-b", "{tmp}/c.jsonl",
+      "--curve-grid", HUGE_GRID, "--out", "{tmp}/r.json"], OUT_OF_MEMORY),
+    ("simulate grid too large to allocate", {},
+     ["simulate", "pdf", "--n", "4", "--grid", HUGE_GRID, "--out-dir", "{tmp}/sim"],
+     OUT_OF_MEMORY),
 ] + [
     (case, {"pdf.csv": lines},
      ["pdf-cca", "--input-a", "{tmp}/pdf.csv", "--input-b", "{tmp}/pdf.csv",
@@ -600,7 +620,8 @@ def test_malformed_input_exits_2_with_reason(case, files, argv, reason, pdf_data
     code = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 2, case
-    assert err.startswith("error: validation: "), err
+    start = reason if reason.startswith("error: ") else "error: validation: "
+    assert err.startswith(start), err
     assert err.count("\n") == 1, err
     assert reason.format(tmp=tmp_path) in err, err
 

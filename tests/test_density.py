@@ -19,7 +19,6 @@ from tfcca import (
 )
 from tfcca.fpca import fit_fpca
 from tfcca.numerics import trapezoid_weights
-from tfcca.sphere import TangentVector
 
 G = Grid(1000)
 
@@ -104,18 +103,18 @@ class TestEstimatePdf:
         p = estimate_pdf([0.2, 0.4], bins=4, floor=0.0, value_range=(0.0, 1.0))
         assert integral(p) == pytest.approx(1.0, abs=1e-9)
 
-
-def vectors(tangents):
-    """The rows of a Tangents block as TangentVectors."""
-    base = tangents.base
-    return [TangentVector(base, base.f.with_values(v)) for v in tangents.values]
+    @pytest.mark.parametrize("value_range", [None, (-1e308, 1e308)])
+    def test_range_too_wide_to_rescale(self, value_range):
+        # hi - lo overflows to inf, which would rescale every sample to NaN
+        with pytest.raises(ValidationError, match=r"sample range \[-1e\+308, 1e\+308\]"):
+            estimate_pdf([1e308, -1e308, 3.0], value_range=value_range)
 
 
 class TestTangentCoordinates:
     def test_identical_pdfs_give_zero_tangents(self):
         p = make_pdf(lambda t: gaussian_mix(t, 0.3, 0.1, 0.7, 0.1))
         mean, tangents = pdf_tangent_coordinates([p, p, p])
-        for v in vectors(tangents):
+        for v in list(tangents):
             assert v.length < 1e-8
 
     def test_mean_tangent_below_tolerance(self):
@@ -133,7 +132,7 @@ class TestTangentCoordinates:
         p1 = make_pdf(lambda t: gaussian_mix(t, 0.3, 0.1, 0.65, 0.1))
         p2 = make_pdf(lambda t: gaussian_mix(t, 0.3, 0.1, 0.75, 0.1))
         _, tangents = pdf_tangent_coordinates([p1, p2])
-        v1, v2 = vectors(tangents)
+        v1, v2 = list(tangents)
         np.testing.assert_allclose(v1.v.values, -v2.v.values, atol=1e-6)
 
     def test_reconstruction(self):
@@ -143,7 +142,7 @@ class TestTangentCoordinates:
             for m in rng.uniform(0.6, 0.8, 6)
         ]
         mean, tangents = pdf_tangent_coordinates(pdfs)
-        for p, v in zip(pdfs, vectors(tangents)):
+        for p, v in zip(pdfs, list(tangents)):
             rec = srt_inverse(exp_map(mean.p, v))
             np.testing.assert_allclose(rec.f.values, p.f.values, atol=1e-6)
 
@@ -188,9 +187,11 @@ class TestVariateDirection:
 
     def test_outputs_integrate_to_one(self):
         mean, basis = self._mean_and_basis()
-        out = pdf_variate_direction(basis, [0.8, 0.6], [-3, -2, -1, 0, 1, 2, 3])
-        for p in out:
-            assert integral(p) == pytest.approx(1.0, abs=1e-6)
+        for steps in ([-3, -2, -1, 0, 1, 2, 3], []):
+            out = pdf_variate_direction(basis, [0.8, 0.6], steps)
+            assert len(out) == len(steps)
+            for p in out:
+                assert integral(p) == pytest.approx(1.0, abs=1e-6)
 
     def test_overflow_raises(self):
         mean, basis = self._mean_and_basis()

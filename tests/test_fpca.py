@@ -12,7 +12,7 @@ from tfcca import (
     inner_product,
     tangent_mode_pipeline,
 )
-from tfcca.sphere import SpherePoint, Tangents, TangentVector, tangent_at
+from tfcca.sphere import SpherePoint, Tangents, tangent_at
 
 N = 400
 GRID = Grid(N)
@@ -48,12 +48,6 @@ def smooth_tangents(rng, base, n, n_modes=16, centered=True):
 def block(vectors):
     """TangentVectors at one base point as the Tangents block fit_fpca takes."""
     return Tangents(vectors[0].base, np.stack([v.v.values for v in vectors]))
-
-
-def vectors(tangents):
-    """The rows of a Tangents block as TangentVectors."""
-    base = tangents.base
-    return [TangentVector(base, base.f.with_values(v)) for v in tangents.values]
 
 
 def gaussian_mix_pdfs(rng, n):
@@ -255,7 +249,7 @@ class TestTangentModePipeline:
         b = gaussian_mix_pdfs(rng, 8)
         sep = tangent_mode_pipeline(a, b, mode="separate", rank=2)
         tra = tangent_mode_pipeline(a, b, mode="transport", rank=2)
-        for before, after in zip(vectors(sep.tangents_1), vectors(tra.tangents_1)):
+        for before, after in zip(list(sep.tangents_1), list(tra.tangents_1)):
             assert after.length == pytest.approx(before.length, abs=1e-8)
 
     def test_mixed_kind_pooled_rejected(self):

@@ -23,6 +23,7 @@ from tfcca.fpca import coefficients, fit_fpca
 from tfcca.sphere import (
     ANTIPODE_MARGIN,
     KARCHER_MAX_ITER,
+    _exp_rows,
     _ip_rows,
     _log_rows,
     _remove_component,
@@ -320,6 +321,13 @@ class TestTangents:
         block = Tangents(base, V)
         assert len(block) == 5
         assert not block.values.flags.writeable and V.flags.writeable
+        # row i as a TangentVector at the base; iteration stops at the end
+        for i in range(len(block)):
+            assert isinstance(block[i], TangentVector) and block[i].base is base
+            assert np.array_equal(block[i].v.values, V[i])
+        assert len(list(block)) == len(block)
+        with pytest.raises(IndexError):
+            block[len(block)]
         for bad_shape in (V[0], V[:, :-1], V[..., None]):
             with pytest.raises(ValidationError, match="do not match the base"):
                 Tangents(base, bad_shape)
@@ -339,8 +347,9 @@ class TestTangents:
     def test_tangent_rows_give_each_row_its_one_row_bits(self, n_points, n_rows, planar):
         rng = np.random.default_rng(n_points + n_rows)
         shape = (n_points, 2) if planar else (n_points,)
-        base = SpherePoint(DiscreteFunction(
-            Grid(n_points), 1.0 + 0.5 * rng.standard_normal(shape), periodic=planar))
+        vals = 1.0 + 0.5 * rng.standard_normal(shape)
+        vals[1] = -0.0  # a zero exp step must keep the sign of this sample
+        base = SpherePoint(DiscreteFunction(Grid(n_points), vals, periodic=planar))
         V = rng.standard_normal((n_rows,) + shape)
         rows = _remove_component(V, base.f.values)
         ips = _ip_rows(V, base.f.values)
@@ -348,7 +357,8 @@ class TestTangents:
             drift = inner_product(base.f.with_values(v), base.f)
             assert ip == drift
             assert np.array_equal(row, v - drift * base.f.values)
-        # the log map and the transport give each row its one-row bits too
+        # the log map, the transport and the exponential map give each row
+        # its one-row bits too; a zero row maps to the base's own bits
         points = [SpherePoint(base.f + base.f.with_values(0.5 * v)) for v in V]
         logs = _log_rows(base.f.values, stacked(points))
         moved = _transport_rows(rows, base, points[0])
@@ -357,6 +367,12 @@ class TestTangents:
             one = parallel_transport(TangentVector(base, base.f.with_values(row)),
                                      base, points[0])
             assert np.array_equal(move, one.v.values)
+        steps = np.concatenate([rows, np.zeros_like(rows[:1])])
+        exps = _exp_rows(base.f.values, steps)
+        for x, row in zip(exps, steps):
+            one = exp_map(base, TangentVector(base, base.f.with_values(row)))
+            assert x.tobytes() == one.f.values.tobytes()
+        assert exps[-1].tobytes() == base.f.values.tobytes()
 
 
 class TestBasePoint:
