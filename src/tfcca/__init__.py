@@ -77,7 +77,7 @@ from .fpca import (  # noqa: E402
     fit_fpca,
     tangent_mode_pipeline,
 )
-from .cca import CcaResult, cca, cca_oracle  # noqa: E402
+from .cca import CcaResult, cca  # noqa: E402
 from .cvr import (  # noqa: E402
     CvTrace,
     CvrResult,

@@ -1,10 +1,8 @@
 """Multivariate canonical correlation analysis on coefficient matrices.
 
-The primary route is QR + SVD on the centered matrices, which avoids forming
-and inverting covariance blocks; a ridge joins the QR as extra rows, so it
-does not square the condition number either. cca_oracle solves the
-classical generalized eigenproblem on explicit covariance blocks and exists
-as an independent cross-check.
+CCA runs QR + SVD on the centered matrices, which avoids forming and
+inverting covariance blocks; a ridge joins the QR as extra rows, so it does
+not square the condition number either.
 """
 
 from __future__ import annotations
@@ -138,25 +136,3 @@ def cca(C1, C2, ridge: float = 0.0):
         col_means_1=m1,
         col_means_2=m2,
     )
-
-
-def cca_oracle(C1, C2) -> np.ndarray:
-    """Correlations from the generalized eigenproblem on covariance blocks.
-
-    Forms S11^-1 S12 S22^-1 S21 explicitly; the square roots of its
-    eigenvalues are the canonical correlations. Independent verification
-    path for cca(); not meant for ill-conditioned inputs.
-    """
-    X1, X2 = _as_matrix(C1, "C1"), _as_matrix(C2, "C2")
-    n = X1.shape[0]
-    X1c = X1 - X1.mean(axis=0)
-    X2c = X2 - X2.mean(axis=0)
-    S11 = X1c.T @ X1c / (n - 1)
-    S22 = X2c.T @ X2c / (n - 1)
-    S12 = X1c.T @ X2c / (n - 1)
-    A = np.linalg.solve(S11, S12) @ np.linalg.solve(S22, S12.T)
-    ev = np.linalg.eigvals(A)
-    rho = np.sqrt(np.clip(ev.real, 0.0, 1.0))
-    rho.sort()
-    m = min(X1.shape[1], X2.shape[1])
-    return rho[::-1][:m]

@@ -28,10 +28,17 @@ is, not yet converged (the pattern of shape.register_batch). cvr_fit is a
 stack of one. cvr_cross_validate centers and factors each split's training
 rows once and stacks every (split, eta) problem, so its cost is one QR pair
 per split plus a descent whose size does not depend on n.
+
+The splits come from the standard library's Mersenne Twister, one stream
+per repeat keyed by the string "rng_seed,repeat" (_split_permutations).
+Python keeps random.Random's random() sequence stable across releases, so a
+seed draws the same splits whatever the numpy version, and cvr never loads
+numpy.random.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +239,17 @@ def cvr_predict(result: CvrResult, C1, C2) -> np.ndarray:
 DEFAULT_ETA_GRID = tuple(np.round(np.arange(0.0, 1.01, 0.1), 10))
 
 
+def _split_permutations(n: int, repeats: int, rng_seed: int) -> np.ndarray:
+    """One row per repeat: the order of n keys drawn by
+    random.Random(f"{rng_seed},{rep}").random(), stable-sorted. The streams
+    are independent, so the first k rows do not depend on repeats."""
+    perms = np.empty((repeats, n), dtype=np.intp)
+    for rep in range(repeats):
+        draw = random.Random(f"{rng_seed},{rep}").random
+        perms[rep] = np.argsort([draw() for _ in range(n)], kind="stable")
+    return perms
+
+
 def cvr_cross_validate(
     C1,
     C2,
@@ -244,15 +262,19 @@ def cvr_cross_validate(
 ):
     """Tune eta by repeated random splits.
 
-    Each repeat draws a fresh train/test split (per-repeat RNG stream derived
-    from rng_seed and the repeat index), fits every eta on the training part,
-    and scores held-out MSE; the per-repeat winner is the minimum-MSE eta with
-    ties broken toward larger eta. The concordance index is computed on the
-    held-out negated predictions (shorter survival = higher risk). A repeat
-    whose held-out responses all tie has no comparable pair: its C-index is
-    NaN and left out of cindex_mean and cindex_sd, while its MSE and eta
-    count. Only when no repeat has a comparable pair is the input rejected,
-    before any descent.
+    Each repeat draws a fresh train/test split, fits every eta on the
+    training part and scores held-out MSE; the per-repeat winner is the
+    minimum-MSE eta with ties broken toward larger eta. The concordance
+    index is computed on the held-out negated predictions (shorter survival
+    = higher risk). A repeat whose held-out responses all tie has no
+    comparable pair: its C-index is NaN and left out of cindex_mean and
+    cindex_sd, while its MSE and eta count. Only when no repeat has a
+    comparable pair is the input rejected, before any descent.
+
+    Repeat rep's rows are ordered by n keys from the standard library's
+    Mersenne Twister, random.Random(f"{rng_seed},{rep}").random(), sorted
+    stably; the first round(split * n) rows train and the rest are held out
+    (_split_permutations).
 
     Every check cvr_fit makes runs before any descent: the row, eta, y and d
     checks once, then split by split, in split order, the rank and
@@ -284,8 +306,7 @@ def cvr_cross_validate(
     _check_inputs(X1, X2, y, d, eta_grid)
 
     stats, held_out = [], []
-    for rep in range(repeats):
-        perm = np.random.default_rng([rng_seed, rep]).permutation(n)
+    for perm in _split_permutations(n, repeats, rng_seed):
         tr, te = perm[:n_train], perm[n_train:]
         m1, m2, R1, R2, split_stats = _statistics(X1[tr], X2[tr], y[tr], d)
         stats.append(split_stats)

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cca import cca
-from .density import Pdf, srt_inverse
+from .density import Pdf
 from .errors import ValidationError
 from .fpca import coefficients, tangent_mode_pipeline
 from .numerics import DEFAULT_CURVE_GRID, DEFAULT_PDF_GRID, DiscreteFunction, Grid
 from .shape import Curve
-from .sphere import Tangents, _transport_rows, exp_map
+from .sphere import Tangents, _exp_rows, _transport_rows
 
 PDF_GROUPS = (1, 2, 3)
 CURVE_REGIMES = ("high", "moderate", "weak")
@@ -203,9 +203,15 @@ def _child_seed(rng_seed: int, index: int) -> int:
 
 def _synthesize(basis, coeffs):
     """New densities exp_mean(sum_j x_j e_j)^2 from coefficient rows scaled
-    by RECOVERY_PDF_SCALE, with the mean the basis's base point."""
-    rows = RECOVERY_PDF_SCALE * coeffs
-    return [srt_inverse(exp_map(basis.base, basis.direction(row))) for row in rows]
+    by RECOVERY_PDF_SCALE, with the mean the basis's base point. The
+    directions are summed from 0 in j order, as FpcBasis.direction does, and
+    mapped by one exponential-map call."""
+    W = RECOVERY_PDF_SCALE * coeffs
+    V = 0
+    for w, e in zip(W.T, basis.eigenfunctions.values):
+        V = V + w[:, None] * e
+    points = _exp_rows(basis.base.f.values, V)
+    return [Pdf.from_unnormalized(x ** 2, basis.base.grid) for x in points]
 
 
 def recovery_protocol_pdf(

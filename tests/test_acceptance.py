@@ -13,12 +13,12 @@ import time
 import numpy as np
 import pytest
 
+from oracles import cca_oracle
 from tfcca import (
     DiscreteFunction,
     Grid,
     SpherePoint,
     cca,
-    cca_oracle,
     concordance_index,
     cvr_fit,
     exp_map,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfcca import NumericalError, ValidationError, cca, cca_oracle
+from oracles import cca_oracle
+from tfcca import NumericalError, ValidationError, cca
 
 
 def random_matrix(rng, n, r, scale=1.0):

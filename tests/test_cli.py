@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
@@ -15,6 +17,8 @@ import tfcca.cvr
 from tfcca.cli import main
 from tfcca.report import load_report, validate_report
 from tfcca.errors import ValidationError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args):
@@ -686,3 +690,56 @@ class TestPdfCsvParse:
             tracemalloc.stop()
         assert len(out) == n_subjects
         assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+class TestNoNumpyRandom:
+    """The analyses and cvr draw nothing from numpy.random, so a run does
+    not load it (about 6 MB of resident memory); only simulate does."""
+
+    # runs one command through cli.main; a command that succeeds but leaves
+    # numpy.random loaded exits 1 with that reason
+    PROBE = ("import sys\n"
+             "from tfcca.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "if code == 0 and 'numpy.random' in sys.modules:\n"
+             "    sys.exit('numpy.random loaded')\n"
+             "sys.exit(code)\n")
+
+    @staticmethod
+    def _python(*args):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        """Small simulate outputs, made in another process."""
+        base = tmp_path_factory.mktemp("norandom")
+        for argv in (["pdf", "--n", "10", "--seed", "5", "--grid", "120",
+                      "--out-dir", str(base / "pdf")],
+                     ["shape", "--n", "10", "--seed", "2", "--curve-grid", "48",
+                      "--out-dir", str(base / "shape")]):
+            proc = self._python("-m", "tfcca", "simulate", *argv)
+            assert proc.returncode == 0, proc.stderr
+        (base / "resp.csv").write_text(
+            "id,months\n" + "".join(f"s{i:04d},{5 + 3 * i}\n" for i in range(10)))
+        return base
+
+    @pytest.mark.parametrize("command", ["pdf-cca", "shape-cca", "cross-cca", "cvr"])
+    def test_command_leaves_numpy_random_unloaded(self, command, data, tmp_path):
+        pdf_a, pdf_b = str(data / "pdf" / "group_a.csv"), str(data / "pdf" / "group_b.csv")
+        shape_a = str(data / "shape" / "group_a.jsonl")
+        shape_b = str(data / "shape" / "group_b.jsonl")
+        inputs = {
+            "pdf-cca": ["--input-a", pdf_a, "--input-b", pdf_b, "--directions", "1"],
+            "shape-cca": ["--input-a", shape_a, "--input-b", shape_b,
+                          "--directions", "1"],
+            "cross-cca": ["--pdf-input", pdf_a, "--shape-input", shape_a,
+                          "--directions", "1"],
+            "cvr": ["--input-a", pdf_a, "--input-b", pdf_b, "--d", "1",
+                    "--response", str(data / "resp.csv"), "--repeats", "5"],
+        }[command]
+        proc = self._python(
+            "-c", self.PROBE, command, *inputs, "--rank", "2", "--grid", "120",
+            "--curve-grid", "48", "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from tfcca.cvr import CVR_MAX_ITER, CVR_TOL
+from tfcca.cvr import CVR_MAX_ITER, CVR_TOL, _split_permutations
 from tfcca import (
     NumericalError,
     ValidationError,
@@ -37,8 +37,7 @@ def reference_cross_validate(C1, C2, y, d, eta_grid, split, repeats, rng_seed):
     n_train = int(round(split * n))
     mse = np.empty((repeats, len(eta_grid)))
     rep_eta, rep_cindex = [], []
-    for rep in range(repeats):
-        perm = np.random.default_rng([rng_seed, rep]).permutation(n)
+    for rep, perm in enumerate(_split_permutations(n, repeats, rng_seed)):
         tr, te = perm[:n_train], perm[n_train:]
         m1, m2, yt = C1[tr].mean(axis=0), C2[tr].mean(axis=0), y[tr]
         (Q1, R1), (Q2, R2) = np.linalg.qr(C1[tr] - m1), np.linalg.qr(C2[tr] - m2)
@@ -322,10 +321,8 @@ class TestCrossValidate:
         C1, C2 = correlated_views(rng, n=10, r=2, shared=1)
         y = 10.0 + (3 * np.arange(10)) % 7
         cv = cvr_cross_validate(C1, C2, y, 1, (0.0, 1.0), repeats=20, rng_seed=0)
-        tied = np.array([
-            np.ptp(y[np.random.default_rng([0, rep]).permutation(10)[8:]]) == 0
-            for rep in range(20)
-        ])
+        tied = np.array([np.ptp(y[perm[8:]]) == 0
+                         for perm in _split_permutations(10, 20, 0)])
         assert tied.any() and not tied.all()
         assert np.array_equal(np.isnan(cv.repeat_cindex), tied)
         scored = cv.repeat_cindex[~tied]
@@ -348,6 +345,31 @@ class TestCrossValidate:
         fit = cvr_fit(C1, C2, y, 2, eta=0.5)
         pred = cvr_predict(fit, C1, C2)
         assert pred.shape == (40,)
+
+
+class TestSplitPermutations:
+    def test_known_rows(self):
+        # random.Random(f"0,{rep}") keys, stable-sorted; Python keeps this
+        # sequence across releases, so these rows are the split contract
+        assert _split_permutations(10, 2, 0).tolist() == [
+            [6, 8, 3, 7, 0, 5, 4, 2, 1, 9],
+            [7, 8, 5, 1, 4, 0, 9, 3, 2, 6],
+        ]
+
+    def test_rows_do_not_depend_on_the_repeat_count(self):
+        assert np.array_equal(_split_permutations(37, 20, 3)[:5],
+                              _split_permutations(37, 5, 3))
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (10, 0), (400, 401)])
+    def test_every_row_is_a_permutation(self, n, seed):
+        perms = _split_permutations(n, 20, seed)
+        assert perms.shape == (20, n)
+        assert np.array_equal(np.sort(perms, axis=1),
+                              np.broadcast_to(np.arange(n), (20, n)))
+
+    def test_seeds_draw_different_rows(self):
+        assert not np.array_equal(_split_permutations(50, 3, 0),
+                                  _split_permutations(50, 3, 1))
 
 
 class TestConcordanceIndex:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import cca_oracle
 from tfcca import (
     CurveSimSpec,
     Grid,
     PdfSimSpec,
     ValidationError,
     cca,
-    cca_oracle,
     gen_curve_group,
     gen_pdf_group,
     recovery_protocol_pdf,
