@@ -243,11 +243,11 @@ def _split_permutations(n: int, repeats: int, rng_seed: int) -> np.ndarray:
     """One row per repeat: the order of n keys drawn by
     random.Random(f"{rng_seed},{rep}").random(), stable-sorted. The streams
     are independent, so the first k rows do not depend on repeats."""
-    perms = np.empty((repeats, n), dtype=np.intp)
+    keys = np.empty((repeats, n))
     for rep in range(repeats):
         draw = random.Random(f"{rng_seed},{rep}").random
-        perms[rep] = np.argsort([draw() for _ in range(n)], kind="stable")
-    return perms
+        keys[rep] = [draw() for _ in range(n)]
+    return np.argsort(keys, axis=1, kind="stable")
 
 
 def cvr_cross_validate(

@@ -24,13 +24,16 @@ full optimum lies inside the final band.
 After the DP, registration runs on stacked (B, n[, 2]) arrays, and
 _preshape_rows is the one Newton projection: a row leaves its active set
 once closed, so it gets the bits it would get alone. Every integral is
-numerics._integrate_rows, so the same holds for every row map here.
+numerics._integrate_rows, so the same holds for every row map here. The
+result stays stacked too: register_batch returns one Registrations block,
+the Karcher mean and project_Pi read its stars rows, and a curve's
+(Registration, Srvf) pair is built only when the block is indexed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .numerics import (
 )
 from .sphere import KarcherMeanResult, SpherePoint, Tangents
 from .sphere import _angle_rows, _geodesic_rows, _log_rows, _remove_component
-from .sphere import _sphere_rows, geodesic_distance, tangent_at
+from .sphere import _sphere_rows, tangent_at
 
 # pre-shape projection: closure residual an Srvf may keep, Newton step cap
 CLOSURE_TOL = 1e-4
@@ -140,7 +143,28 @@ class Registration:
     rotation: np.ndarray
     warp: DiscreteFunction
     cost: float
-    round_costs: tuple = field(default=())
+    round_costs: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class Registrations:
+    """register_batch's result, one row per registered SRVF: rotations
+    (B, 2, 2), warps (B, n), final costs (B,), each curve's round costs (a
+    tuple per curve) and the registered, pre-shape-projected samples stars
+    (B, n, 2). block[b] builds curve b's (Registration, Srvf) on request, so
+    indexing and iteration give those pairs."""
+
+    grid: Grid
+    rotations: np.ndarray
+    warps: np.ndarray
+    costs: np.ndarray
+    round_costs: tuple
+    stars: np.ndarray
+
+    def __getitem__(self, b):
+        warp = DiscreteFunction(self.grid, self.warps[b])
+        reg = Registration(self.rotations[b], warp, float(self.costs[b]), self.round_costs[b])
+        return reg, _srvfs(self.stars[b, None], self.grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +668,8 @@ def register_batch(
     rounds: int = REGISTRATION_ROUNDS,
     rigid_candidates: int = 3,
 ):
-    """Register every SRVF in qs onto q1; returns [(Registration, Srvf)].
+    """Register every SRVF in qs onto q1; returns one Registrations block,
+    whose row b is qs[b]'s result.
 
     Each round starts with an exhaustive rigid search (every cyclic offset
     scored with its own Procrustes rotation; applied exactly as an integer
@@ -715,14 +740,11 @@ def register_batch(
     diff = v1 - vals
     costs = _integrate_rows((diff * diff).sum(axis=-1))
     costs[1:][(np.diff(warps[1:], axis=-1) < 0).any(axis=-1)] = np.inf
-    pick = costs.argmin(axis=0)
-    stars = _preshape_rows(_sphere_rows(vals[pick, np.arange(B)]))
+    pick = (costs.argmin(axis=0), np.arange(B))
+    stars = _preshape_rows(_sphere_rows(vals[pick]))
     diff = v1 - stars
-    final_costs = _integrate_rows((diff * diff).sum(axis=-1))
-    regs = [Registration(O_tot[b], DiscreteFunction(grid, warps[pick[b], b]),
-                         float(final_costs[b]), tuple(round_costs[: used[b], b]))
-            for b in range(B)]
-    return list(zip(regs, _srvfs(stars, grid)))
+    return Registrations(grid, O_tot, warps[pick], _integrate_rows((diff * diff).sum(axis=-1)),
+                         tuple(tuple(round_costs[: used[b], b]) for b in range(B)), stars)
 
 
 def register(q1: Srvf, q2: Srvf):
@@ -736,8 +758,7 @@ def register(q1: Srvf, q2: Srvf):
 
 
 def _aligned_distance(q1: Srvf, q2: Srvf) -> float:
-    _, star = register(q1, q2)
-    return geodesic_distance(q1.q, star.q)
+    return float(_angle_rows(q1.q.f.values, register_batch(q1, [q2]).stars)[2][0])
 
 
 def shape_distance(q1: Srvf, q2: Srvf) -> float:
@@ -777,14 +798,14 @@ def project_Pi(qs: list, mean: Srvf) -> Tangents:
     """Project SRVFs onto the pre-shape tangent space at the mean.
 
     Three steps: register to the mean, inverse-exponential map at the mean,
-    then removal of the two closure-constraint components. Returns one
-    Tangents block with a row per SRVF. Registration tries two first-round
-    rigid candidates and runs per curve until its round cost stops
-    decreasing (see register_batch).
+    then removal of the two closure-constraint components, all on the
+    stacked rows of register_batch's block; no per-curve object is built.
+    Returns one Tangents block with a row per SRVF. Registration tries two
+    first-round rigid candidates and runs per curve until its round cost
+    stops decreasing (see register_batch).
     """
-    regs = register_batch(mean, qs, rigid_candidates=2)
-    V = _preshape_tangents(mean.q.f.values, np.stack([s.q.f.values for _, s in regs]))
-    return Tangents(mean.q, V)
+    stars = register_batch(mean, qs, rigid_candidates=2).stars
+    return Tangents(mean.q, _preshape_tangents(mean.q.f.values, stars))
 
 
 def _medoid(stack: np.ndarray) -> int:
@@ -828,8 +849,7 @@ def shape_karcher_mean(qs: list) -> KarcherMeanResult:
         SpherePoint(DiscreteFunction(qs[0].grid, aligned.mean(axis=0), periodic=True)))
 
     def registered_variance(candidate):
-        regs = register_batch(candidate, qs, rounds=1, rigid_candidates=1)
-        stars = np.stack([star.q.f.values for _, star in regs])
+        stars = register_batch(candidate, qs, rounds=1, rigid_candidates=1).stars
         d = _angle_rows(candidate.q.f.values, stars)[2]
         return float(np.mean(np.square(d))), stars
 

@@ -4,6 +4,7 @@ attributes; a rename, or a caller that bypasses a rebound attribute, must
 fail here, not in a benchmark run."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +37,10 @@ def test_tracer_records_registration_attributes(tmp_path):
     assert regs
     for span in regs:
         assert {"curves", "candidates", "rounds"} <= set(span["attrs"])
+        # the tracer reads one final cost per registered curve off the result
+        costs = span["attrs"]["costs"]
+        assert len(costs) == span["attrs"]["curves"]
+        assert all(math.isfinite(c) for c in costs)
     # the mean and the projection reach registration through the module
     # attribute the tracer rebinds, so their passes are counted
     parents = {spans[s["parent"]]["name"] for s in regs}

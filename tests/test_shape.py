@@ -605,12 +605,14 @@ class TestRegister:
                             (0.5, 0.01, 0.2), (2.0, 0.03, 0.6)]
         ]
         batch = register_batch(q1, qs)
-        for q, (reg_b, star_b) in zip(qs, batch):
+        for b, (q, (reg_b, star_b)) in enumerate(zip(qs, batch)):
             reg, star = register(q1, q)
             assert reg_b.cost == reg.cost
             assert reg_b.round_costs == reg.round_costs
             np.testing.assert_array_equal(reg_b.warp.values, reg.warp.values)
             np.testing.assert_array_equal(star_b.q.f.values, star.q.f.values)
+            # the mean and project_Pi read the block's rows, not the Srvf
+            np.testing.assert_array_equal(batch.stars[b], star_b.q.f.values)
         assert len({len(reg.round_costs) for reg, _ in batch}) > 1
 
     def test_synthetic_nuisance_recovered(self):
@@ -762,6 +764,31 @@ class TestKarcherMeanShape:
         ]
         trace = np.array(shape_karcher_mean(qs).variance_trace)
         assert np.all(np.diff(trace) <= 1e-8)
+
+
+class TestStackedRegistration:
+    def test_mean_and_projection_build_no_per_curve_objects(self, monkeypatch):
+        counts = {"Srvf": 0, "Registration": 0}
+
+        def counting(cls, name, method):
+            orig = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                counts[name] += 1
+                orig(self, *args, **kwargs)
+            monkeypatch.setattr(cls, method, wrapper)
+
+        spec = CurveSimSpec("high", 8, Grid(60), rng_seed=3)
+        qs = [srvf(c) for c in gen_curve_group(spec, 1)[0]]
+        counting(Srvf, "Srvf", "__post_init__")
+        counting(shape_module.Registration, "Registration", "__init__")
+        result = shape_karcher_mean(qs)
+        assert counts["Registration"] == 0
+        # the start and at most two step candidates per iteration
+        assert counts["Srvf"] <= 1 + 2 * result.iterations
+        counts.update(Srvf=0, Registration=0)
+        project_Pi(qs, result.mean)
+        assert counts == {"Srvf": 0, "Registration": 0}
 
 
 class TestSubjectOrder:
