@@ -54,22 +54,35 @@ def _dominant_signs(A: np.ndarray) -> np.ndarray:
 def _canonical_frame(X1: np.ndarray, X2: np.ndarray, ridge: float = 0.0):
     """The two-view frame that cca and cvr share.
 
-    Centers each view and QR-factors it with sqrt(ridge) * I stacked below,
-    so that R_k^T R_k = X_kc^T X_kc + ridge * I and the top n rows of Q_k,
-    X_kc R_k^-1, span the centered view X_kc. The R factors are then
-    rejected, at every ridge, first when one is rank-deficient
-    (ValidationError), then when one is ill-conditioned (NumericalError),
-    C1 before C2 in each case. Returns (m1, m2, Q1, Q2, R1, R2, M, U, sig,
-    V): the column means, the top-n Q factors, the R factors, M = Q1^T Q2
-    and its thin SVD M = U diag(sig) V^T with deterministic signs (the
-    dominant entry of each column of U is positive, and V flips with it so
-    pair correlations stay nonnegative).
+    Centers each view and QR-factors it, with sqrt(ridge) * I stacked below
+    when ridge > 0, so that R_k^T R_k = X_kc^T X_kc + ridge * I and the top
+    n rows of Q_k, X_kc R_k^-1, span the centered view X_kc. The R factors
+    are then rejected, at every ridge, first when one is rank-deficient
+    (ValidationError; at ridge 0 a view with fewer rows than columns has a
+    wide R whose missing pivots count as zero), then when one is
+    ill-conditioned (NumericalError), C1 before C2 in each case. Returns
+    (m1, m2, Q1, Q2, R1, R2, M, U, sig, V): the column means, the top-n Q
+    factors, the R factors, M = Q1^T Q2 and its thin SVD M = U diag(sig)
+    V^T with deterministic signs (the dominant entry of each column of U is
+    positive, and V flips with it so pair correlations stay nonnegative).
     """
     n = X1.shape[0]
-    m1, m2 = X1.mean(axis=0), X2.mean(axis=0)
-    Q1, R1 = np.linalg.qr(np.vstack([X1 - m1, np.sqrt(ridge) * np.eye(X1.shape[1])]))
-    Q2, R2 = np.linalg.qr(np.vstack([X2 - m2, np.sqrt(ridge) * np.eye(X2.shape[1])]))
-    diagonals = (("C1", np.abs(np.diag(R1))), ("C2", np.abs(np.diag(R2))))
+
+    def factor(X):
+        mean = X.mean(axis=0)
+        Xc = X - mean
+        if ridge > 0:
+            Xc = np.vstack([Xc, np.sqrt(ridge) * np.eye(X.shape[1])])
+        Q, R = np.linalg.qr(Xc)
+        # a wide R has no pivot for its last columns: zeros, so that the
+        # rank check rejects it exactly, not through a rounding-size pivot
+        pivots = np.zeros(X.shape[1])
+        pivots[:len(R)] = np.abs(np.diag(R))
+        return mean, Q[:n], R, pivots
+
+    m1, Q1, R1, d1 = factor(X1)
+    m2, Q2, R2, d2 = factor(X2)
+    diagonals = (("C1", d1), ("C2", d2))
     for name, d in diagonals:
         if d.min() <= d.max() * 1e-12:
             raise ValidationError(
@@ -84,7 +97,6 @@ def _canonical_frame(X1: np.ndarray, X2: np.ndarray, ridge: float = 0.0):
                 f"{name} is ill-conditioned at ridge {ridge:g} (R condition "
                 f"{d.max() / d.min():.2e}); cca needs a larger ridge"
             )
-    Q1, Q2 = Q1[:n], Q2[:n]
     M = Q1.T @ Q2
     U, sig, Vt = np.linalg.svd(M, full_matrices=False)
     flips = _dominant_signs(U)

@@ -2,10 +2,12 @@
 
 The rows of a sphere.Tangents block become a sample matrix X (planar
 functions listed x then y, circle-domain functions keeping one copy of the
-identified endpoint) with matching trapezoidal weights w, decomposed by one
-thin SVD of X sqrt(w), whichever of the sample count and the grid size is
-larger. Eigenfunctions are stored with unit L2 norm, so coefficients, a
-read-only (n, r) array, and reconstruction use the geometry's quadrature.
+identified endpoint) with matching trapezoidal weights w. It is decomposed
+by one route whichever of the sample count and the grid size is larger:
+the R factor of a QR of X sqrt(w), then the SVD of R, so the left singular
+vectors of X are never formed. Eigenfunctions are stored with unit L2
+norm, so coefficients, a read-only (n, r) array, and reconstruction use the
+geometry's quadrature.
 """
 
 from __future__ import annotations
@@ -75,11 +77,14 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
 
     Exactly one of rank and explained is given: a fixed rank, or the
     smallest rank whose eigenvalues explain at least `explained` of the
-    total variance (it must lie in (0, 1]). Solved by one thin SVD of the
-    weighted sample matrix X sqrt(w) = U S V^T: the eigenvalues are
-    s^2 / (n - 1) and the eigenfunctions V / sqrt(w), which come out exactly
-    L2-orthonormal. Sign convention: the largest-magnitude entry of each
-    eigenfunction is positive.
+    total variance (it must lie in (0, 1]). Solved from the R factor of the
+    weighted sample matrix X sqrt(w) = Q R and the thin SVD R = U S V^T
+    (Chan's R-SVD, as cca._canonical_frame does): R has the singular values
+    and right singular vectors of X sqrt(w), without squaring its condition
+    number as X^T W X would, and the n-row left factor QU is never built.
+    The eigenvalues are s^2 / (n - 1) and the eigenfunctions V / sqrt(w),
+    which come out exactly L2-orthonormal. Sign convention: the
+    largest-magnitude entry of each eigenfunction is positive.
     """
     if len(tangents) < 2:
         raise ValidationError("fpca needs >= 2 tangent vectors")
@@ -91,7 +96,8 @@ def fit_fpca(tangents, rank: int | None = None, explained: float | None = None):
     X, w = _samples(base.f, tangents.values)
     n = X.shape[0]
     root_w = np.sqrt(w)
-    _, s, Vt = np.linalg.svd(X * root_w, full_matrices=False)
+    R = np.linalg.qr(X * root_w, mode="r")
+    _, s, Vt = np.linalg.svd(R, full_matrices=False)
     mu = s * s / (n - 1)
     total = float(mu.sum())
     n_pos = int(np.sum(mu > mu[0] * 1e-12))

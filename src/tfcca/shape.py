@@ -307,14 +307,9 @@ def _rigid_scores(q1_vals: np.ndarray, q2_stack: np.ndarray):
     Returns (scores, angles), each (B, m).
     """
     m = q1_vals.shape[0] - 1
-    return _spectral_rigid_scores(np.fft.rfft(q1_vals[:m], axis=0),
-                                  np.fft.rfft(q2_stack[:, :m], axis=1), m)
-
-
-def _spectral_rigid_scores(fa: np.ndarray, fb: np.ndarray, m: int):
-    """_rigid_scores from the rfft over the m distinct samples of q1, an
-    (F, 2) array, and of every q2, a (B, F, 2) array."""
     h = 1.0 / m
+    fa = np.fft.rfft(q1_vals[:m], axis=0)
+    fb = np.fft.rfft(q2_stack[:, :m], axis=1)
     A = np.empty((fb.shape[0], m, 2, 2))
     for x in range(2):
         for y in range(2):
@@ -812,13 +807,17 @@ def _medoid(stack: np.ndarray) -> int:
     """Row of a (B, n, 2) SRVF stack with the largest sum of best-offset
     rigid scores against every row, itself included.
 
-    Each sum is a math.fsum, so it does not depend on the order of the rows,
-    and the rfft of the stack is taken once for all B * B scores. An exact
-    tie goes to the first tied row.
+    Reading the plane as C, z = x + iy, the rigid score of row a against
+    row b at cyclic offset k is h |sum_t conj(a_t) b_(t+k)|, the modulus of
+    one complex circular correlation: the score _rigid_scores forms from
+    four real ones. The common factor h is left out. Each sum is a
+    math.fsum, so it does not depend on the order of the rows, and the FFT
+    of the stack is taken once for all B * B scores. An exact tie goes to
+    the first tied row.
     """
     m = stack.shape[1] - 1
-    spectra = np.fft.rfft(stack[:, :m], axis=1)
-    totals = [math.fsum(_spectral_rigid_scores(f, spectra, m)[0].max(axis=1))
+    spectra = np.fft.fft(stack[:, :m, 0] + 1j * stack[:, :m, 1], axis=1)
+    totals = [math.fsum(np.abs(np.fft.ifft(np.conj(f) * spectra, axis=1)).max(axis=1))
               for f in spectra]
     return int(np.argmax(totals))
 

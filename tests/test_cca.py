@@ -100,6 +100,12 @@ class TestCca:
         C2 = random_matrix(rng, 5, 8)
         with pytest.raises(ValidationError):
             cca(C1, C2)
+        # badly scaled columns leave the last pivot of the 5-row R well above
+        # 1e-12 of the largest, so the missing pivots must count as zero
+        C1[:, 1:] = 1e6 * C1[:, :1] + 1e-6 * C1[:, 1:]
+        C1[:, 0] *= 1e-6
+        with pytest.raises(ValidationError, match="C1 is rank-deficient"):
+            cca(C1, C2)
 
     def test_nan_rejected(self):
         C = np.ones((10, 2))

@@ -152,6 +152,55 @@ class TestFitFpca:
                     1.0 if i == j else 0.0, abs=1e-9
                 )
 
+    def test_covariance_oracle_agreement_tall(self):
+        # more samples than grid points: eigenpairs of the dense weighted
+        # covariance W^1/2 C W^1/2 (eigenfunctions v / sqrt(w), up to sign)
+        # and the explained rank read off its eigenvalues
+        rng = np.random.default_rng(18)
+        g = Grid(31)
+        t = g.points
+        vals = 0.2 + np.exp(-0.5 * ((t - 0.45) / 0.18) ** 2)
+        base = SpherePoint(DiscreteFunction(g, vals))
+        k = np.arange(1, 41)[:, None]
+        modes = np.sin(np.pi * k * t) / k
+        X = (rng.standard_normal((80, 40)) @ modes) * np.sin(np.pi * t) ** 2
+        tangents = block([tangent_at(base, x) for x in X - X.mean(axis=0)])
+        X = tangents.values
+        root_w = np.sqrt(np.full(g.n_points, g.spacing))
+        root_w[0] = root_w[-1] = np.sqrt(g.spacing / 2)
+        C = X.T @ X / (len(X) - 1)
+        mu, v = np.linalg.eigh(root_w[:, None] * C * root_w)
+        mu, v = mu[::-1], v[:, ::-1]
+        basis = fit_fpca(tangents, rank=10)
+        np.testing.assert_allclose(basis.eigenvalues, mu[:10], rtol=1e-9, atol=1e-15)
+        for e, vk in zip(basis.eigenfunctions.values, v.T):
+            oracle = vk / root_w
+            oracle *= np.sign(oracle @ e)
+            np.testing.assert_allclose(e, oracle, rtol=0, atol=1e-9)
+        frac = np.cumsum(mu) / mu.sum()
+        for explained in (0.5, 0.9, 0.99):
+            oracle_rank = int(np.argmax(frac >= explained)) + 1
+            assert fit_fpca(tangents, explained=explained).rank == oracle_rank
+
+    @pytest.mark.parametrize("n, n_points", [(40, 21), (6, 60)])
+    def test_no_decomposition_taller_than_its_rank(self, n, n_points, monkeypatch):
+        # the n-row left singular vectors of a tall sample matrix are never
+        # needed: only min(n, M)-row matrices reach the SVD
+        rng = np.random.default_rng(19)
+        g = Grid(n_points)
+        base = SpherePoint(DiscreteFunction(g, 1.0 + g.points))
+        tangents = block([tangent_at(base, x) for x in rng.standard_normal((n, n_points))])
+        rows = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        fit_fpca(tangents, rank=2)
+        assert rows and max(rows) <= min(n, n_points)
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(6)
         tangents = smooth_tangents(rng, smooth_base(), 8)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,7 @@ from tfcca.shape import (
     _SMOOTH_WIDTHS,
     _dp_align_batch,
     _local_maxima_offsets,
+    _medoid,
     _preshape_normals,
     _preshape_rows,
     _rigid_scores,
@@ -764,6 +766,35 @@ class TestKarcherMeanShape:
         ]
         trace = np.array(shape_karcher_mean(qs).variance_trace)
         assert np.all(np.diff(trace) <= 1e-8)
+
+
+def reference_medoid_totals(stack):
+    """Each row's sum of best-offset rigid scores against every row, from the
+    four real transforms per pair that registration's _rigid_scores takes."""
+    return [math.fsum(_rigid_scores(q, stack)[0].max(axis=1)) for q in stack]
+
+
+class TestMedoid:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_four_transform_reference(self, seed):
+        spec = CurveSimSpec("high", 12, Grid(60), rng_seed=seed)
+        groups = (np.stack([srvf(c).q.f.values for c in gen_curve_group(spec, k)[0]])
+                  for k in (1, 2))
+        noise = np.random.default_rng(seed).standard_normal((9, 41, 2))
+        noise[:, -1] = noise[:, 0]
+        for stack in (*groups, noise):
+            assert _medoid(stack) == int(np.argmax(reference_medoid_totals(stack)))
+
+    def test_tied_circle_group(self):
+        # copies of one circle tie exactly and the first row wins; rolled and
+        # rotated copies tie up to rounding, where any maximizer will do
+        q = srvf(circle(grid=Grid(60))).q.f.values
+        copies = np.stack([q] * 5)
+        assert _medoid(copies) == int(np.argmax(reference_medoid_totals(copies))) == 0
+        rolled = (np.roll(q[:-1], 7 * k, axis=0) @ rotation(k).T for k in range(5))
+        moved = np.stack([np.vstack([r, r[:1]]) for r in rolled])
+        totals = reference_medoid_totals(moved)
+        assert totals[_medoid(moved)] == pytest.approx(max(totals), rel=1e-12)
 
 
 class TestStackedRegistration:
